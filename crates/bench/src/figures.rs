@@ -180,9 +180,9 @@ pub fn fig4() -> String {
 /// dictionary. Coverage saturates once the guessable gates are exhausted;
 /// obscure gates and stored flows bound the single-request ceiling.
 pub fn fig5() -> String {
-    use vdbench_core::cache::cached_scan;
+    use vdbench_core::cache::cached_scans;
     use vdbench_corpus::CorpusBuilder;
-    use vdbench_detectors::DynamicScanner;
+    use vdbench_detectors::{Detector, DynamicScanner};
 
     // A gate-heavy workload makes the budget trade-off visible: most
     // vulnerable flows hide behind input gates, two-thirds of them
@@ -197,17 +197,21 @@ pub fn fig5() -> String {
         .seed(EXPERIMENT_SEED ^ 0xF165)
         .build();
     let budgets = [2usize, 4, 8, 16, 32, 64, 128, 256];
+    // Scanners in (budget, dictionary) order: with, then without, per budget.
+    let scanners: Vec<Box<dyn Detector>> = budgets
+        .iter()
+        .flat_map(|&budget| {
+            [true, false].map(|dict| -> Box<dyn Detector> {
+                Box::new(DynamicScanner::with_budget(budget, dict))
+            })
+        })
+        .collect();
+    let outcomes = cached_scans(&scanners, &corpus);
     let mut with_dict = Series::new("with gate dictionary");
     let mut without_dict = Series::new("sprays only");
-    for &budget in &budgets {
-        let yes = cached_scan(&DynamicScanner::with_budget(budget, true), &corpus)
-            .confusion()
-            .tpr();
-        let no = cached_scan(&DynamicScanner::with_budget(budget, false), &corpus)
-            .confusion()
-            .tpr();
-        with_dict.push(budget as f64, yes);
-        without_dict.push(budget as f64, no);
+    for (&budget, pair) in budgets.iter().zip(outcomes.chunks(2)) {
+        with_dict.push(budget as f64, pair[0].confusion().tpr());
+        without_dict.push(budget as f64, pair[1].confusion().tpr());
     }
     let series = vec![with_dict, without_dict];
     let chart = AsciiChart::new(64, 16)
@@ -239,7 +243,7 @@ pub fn fig5() -> String {
 /// does. Together they demonstrate that the corpus knobs control exactly
 /// the error mechanisms they claim to.
 pub fn fig6() -> String {
-    use vdbench_core::cache::cached_scan;
+    use vdbench_core::cache::cached_scans;
     use vdbench_corpus::{CorpusBuilder, VulnClass};
     use vdbench_detectors::{Detector, DynamicScanner, PatternScanner, TaintAnalyzer};
     let tools: Vec<Box<dyn Detector>> = vec![
@@ -268,9 +272,8 @@ pub fn fig6() -> String {
             .classes(taint_classes.clone())
             .seed(EXPERIMENT_SEED ^ 0xF166)
             .build();
-        for (tool, series) in tools.iter().zip(&mut recall_series) {
-            let tpr = cached_scan(tool.as_ref(), &corpus).confusion().tpr();
-            series.push(rate, tpr);
+        for (outcome, series) in cached_scans(&tools, &corpus).iter().zip(&mut recall_series) {
+            series.push(rate, outcome.confusion().tpr());
         }
     }
     let recall_chart = AsciiChart::new(64, 14)
@@ -294,9 +297,8 @@ pub fn fig6() -> String {
             .classes(taint_classes.clone())
             .seed(EXPERIMENT_SEED ^ 0xF167)
             .build();
-        for (tool, series) in tools.iter().zip(&mut fpr_series) {
-            let fpr = cached_scan(tool.as_ref(), &corpus).confusion().fpr();
-            series.push(rate, fpr);
+        for (outcome, series) in cached_scans(&tools, &corpus).iter().zip(&mut fpr_series) {
+            series.push(rate, outcome.confusion().fpr());
         }
     }
     let fpr_chart = AsciiChart::new(64, 14)

@@ -425,7 +425,7 @@ pub fn table7() -> String {
 /// **Table 8** (extension) — the second-order (stored) injection study:
 /// how each tool family handles flows that cross a persistence boundary.
 pub fn table8() -> String {
-    use vdbench_core::cache::cached_scan;
+    use vdbench_core::cache::cached_scans;
     use vdbench_corpus::{CorpusBuilder, FlowShape, VulnClass};
     use vdbench_detectors::{Detector, DynamicScanner, PatternScanner, TaintAnalyzer};
     let corpus = CorpusBuilder::new()
@@ -459,8 +459,7 @@ pub fn table8() -> String {
         corpus.site_count(),
         stored_total
     ));
-    for tool in &tools {
-        let outcome = cached_scan(tool.as_ref(), &corpus);
+    for (tool, outcome) in tools.iter().zip(cached_scans(&tools, &corpus)) {
         let cm = outcome.confusion();
         let stored = outcome.confusion_for_shape(FlowShape::Stored);
         let literal = outcome.confusion_for_shape(FlowShape::StoredLiteral);
@@ -492,7 +491,7 @@ pub fn table8() -> String {
 /// pattern matching owns the configuration classes, execution owns the
 /// disguised injections.
 pub fn table9() -> String {
-    use vdbench_core::cache::cached_scan;
+    use vdbench_core::cache::cached_scans;
     use vdbench_corpus::{CorpusBuilder, VulnClass};
     let corpus = CorpusBuilder::new()
         .units(900)
@@ -500,10 +499,7 @@ pub fn table9() -> String {
         .seed(EXPERIMENT_SEED ^ 0x7AB9)
         .build();
     let tools = standard_tools(EXPERIMENT_SEED);
-    let outcomes: Vec<_> = tools
-        .iter()
-        .map(|t| cached_scan(t.as_ref(), &corpus))
-        .collect();
+    let outcomes = cached_scans(&tools, &corpus);
 
     let mut header = vec!["class".to_string()];
     header.extend(tools.iter().map(|t| t.name()));

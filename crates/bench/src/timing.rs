@@ -127,6 +127,10 @@ pub struct CampaignTiming {
     /// (the pool's high-water mark — small inputs use fewer workers than
     /// requested).
     pub threads_used: usize,
+    /// Worker threads the persistent pool has started in this process
+    /// ([`rayon::threads_spawned`]): at most `threads_requested - 1`, since
+    /// every caller works on its own parallel call.
+    pub threads_spawned: usize,
     /// Per-artifact wall-clock, in campaign order (the rendered view
     /// sorts by cost instead).
     pub stages: Vec<StageTiming>,
@@ -167,7 +171,8 @@ impl CampaignTiming {
     /// `bench/artifact` spans (ordered by their `index` argument, i.e.
     /// campaign order), total wall-clock from the `bench/campaign` span,
     /// cache counters from the registry snapshot, and thread counts from
-    /// the rayon shim (requested width vs. realized high-water mark).
+    /// the rayon shim (requested width, realized high-water mark, and
+    /// pool workers spawned).
     /// The cold/warm pair starts empty — `run_all` fills it in from the
     /// disk-cache baseline when the disk tier is active.
     #[must_use]
@@ -198,6 +203,7 @@ impl CampaignTiming {
             seed,
             threads_requested: rayon::current_num_threads(),
             threads_used: rayon::max_threads_used().max(1),
+            threads_spawned: rayon::threads_spawned(),
             stages: stages.into_iter().map(|(_, s)| s).collect(),
             total_millis,
             cold_millis: None,
@@ -253,6 +259,12 @@ impl CampaignTiming {
             out,
             "  {:<8} {:>9.1} ms wall ({busy:.1} ms of stage work)",
             "total", self.total_millis
+        );
+        let _ = writeln!(
+            out,
+            "  pool: {} worker thread{} spawned in this process, plus each calling thread",
+            self.threads_spawned,
+            if self.threads_spawned == 1 { "" } else { "s" }
         );
         if let (Some(cold), Some(warm)) = (self.cold_millis, self.warm_millis) {
             let speedup = if warm > 0.0 { cold / warm } else { f64::NAN };
@@ -335,6 +347,7 @@ mod tests {
             seed: 0xD5_2015,
             threads_requested: 4,
             threads_used: 3,
+            threads_spawned: 3,
             stages: vec![
                 StageTiming {
                     name: "table1".into(),
@@ -423,6 +436,26 @@ mod tests {
         // Valid JSON round-trip through the vendored parser.
         let parsed: CampaignTiming = serde_json::from_str(&json).unwrap();
         assert_eq!(parsed, record);
+    }
+
+    #[test]
+    fn render_reports_pool_threads_spawned() {
+        let mut record = sample_record();
+        let text = record.render();
+        assert!(
+            text.contains(
+                "  pool: 3 worker threads spawned in this process, plus each calling thread\n"
+            ),
+            "{text}"
+        );
+        assert!(record.to_json().contains("\"threads_spawned\": 3"));
+        record.threads_spawned = 1;
+        assert!(
+            record.render().contains("pool: 1 worker thread spawned"),
+            "singular"
+        );
+        let parsed: CampaignTiming = serde_json::from_str(&record.to_json()).unwrap();
+        assert_eq!(parsed.threads_spawned, 1);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The benchmark runner: workload × tools × metrics.
 
 use crate::error::{CoreError, Result};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use vdbench_corpus::Corpus;
 use vdbench_detectors::{
@@ -82,21 +83,15 @@ impl Benchmark {
     /// added.
     pub fn run(self) -> Result<BenchmarkReport> {
         self.validate()?;
-        // Tools are independent: fan their runs out across scoped threads.
+        // Tools are independent: fan their runs out on the pool.
         // Detector: Send + Sync by trait bound; the corpus is shared
         // read-only.
         let corpus = &self.corpus;
-        let outcomes: Vec<DetectionOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .tools
-                .iter()
-                .map(|t| scope.spawn(move || score_detector(t.as_ref(), corpus)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("detector threads do not panic"))
-                .collect()
-        });
+        let outcomes: Vec<DetectionOutcome> = self
+            .tools
+            .par_iter()
+            .map(|t| score_detector(t.as_ref(), corpus))
+            .collect();
         // An infallible run is a resilient run in which every scan
         // completed on its first attempt with no backoff.
         let scans = outcomes
@@ -130,17 +125,11 @@ impl Benchmark {
     pub fn run_resilient(self, policy: &ScanPolicy) -> Result<BenchmarkReport> {
         self.validate()?;
         let corpus = &self.corpus;
-        let scan_outcomes: Vec<ScanOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .tools
-                .iter()
-                .map(|t| scope.spawn(move || score_detector_resilient(t.as_ref(), corpus, policy)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("detector threads do not panic"))
-                .collect()
-        });
+        let scan_outcomes: Vec<ScanOutcome> = self
+            .tools
+            .par_iter()
+            .map(|t| score_detector_resilient(t.as_ref(), corpus, policy))
+            .collect();
         let mut outcomes = Vec::with_capacity(scan_outcomes.len());
         let mut scans = Vec::with_capacity(scan_outcomes.len());
         for so in scan_outcomes {

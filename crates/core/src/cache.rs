@@ -12,10 +12,10 @@
 //! work), even the memoized process pays the full scan bill again. This
 //! module provides a **two-tier**, content-keyed cache:
 //!
-//! 1. **Memory tier** — process-wide maps of per-key [`OnceLock`] cells:
-//!    concurrent requests for the *same* key block on one computation,
-//!    requests for *different* keys proceed in parallel, hits are `Arc`
-//!    pointer clones. Always on.
+//! 1. **Memory tier** — one single-flight [`Memo`] per kind: concurrent
+//!    requests for the *same* key share one computation (waiters help with
+//!    its parallel work instead of blocking), requests for *different*
+//!    keys proceed in parallel, hits are `Arc` pointer clones. Always on.
 //! 2. **Disk tier** — an optional content-addressed store of
 //!    serde-serialized result blobs (one JSON file per key, named
 //!    `v{schema}-{kind}-{key:016x}.json`). Off by default in the library;
@@ -78,11 +78,12 @@ use crate::attributes::{assess_catalog, AssessmentConfig, AttributeAssessment};
 use crate::benchmark::BenchmarkReport;
 use crate::campaign;
 use crate::error::Result;
+use crate::memo::Memo;
 use crate::scenario::{Scenario, ScenarioId};
-use std::collections::HashMap;
+use rayon::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 use vdbench_corpus::Corpus;
 use vdbench_detectors::{score_detector, DetectionOutcome, Detector};
 use vdbench_metrics::metric::Metric;
@@ -262,19 +263,14 @@ impl ScanKey {
     }
 }
 
-type CaseCell = Arc<OnceLock<Result<Arc<BenchmarkReport>>>>;
-type AssessCell = Arc<OnceLock<Arc<Vec<AttributeAssessment>>>>;
-type ScanCell = Arc<OnceLock<Arc<DetectionOutcome>>>;
-
-static CASE_STUDIES: OnceLock<Mutex<HashMap<CaseStudyKey, CaseCell>>> = OnceLock::new();
-static ASSESSMENTS: OnceLock<Mutex<HashMap<AssessmentKey, AssessCell>>> = OnceLock::new();
-static SCANS: OnceLock<Mutex<HashMap<ScanKey, ScanCell>>> = OnceLock::new();
+static CASE_STUDIES: Memo<CaseStudyKey, Result<Arc<BenchmarkReport>>> = Memo::new();
+static ASSESSMENTS: Memo<AssessmentKey, Arc<Vec<AttributeAssessment>>> = Memo::new();
+static SCANS: Memo<ScanKey, Arc<DetectionOutcome>> = Memo::new();
 
 /// The hit/miss counters live on the process-wide telemetry
 /// [`registry`](vdbench_telemetry::registry): they show up in every
 /// metrics snapshot (`--timings`, the JSON report) for free, and the
-/// per-handle [`OnceLock`]s keep the hot path at one relaxed atomic add
-/// after the first resolution.
+/// handles resolve once, keeping the hot path at one relaxed atomic add.
 struct CacheCounters {
     case_hits: Arc<Counter>,
     case_misses: Arc<Counter>,
@@ -311,16 +307,14 @@ fn counters() -> &'static CacheCounters {
     })
 }
 
-fn case_map() -> &'static Mutex<HashMap<CaseStudyKey, CaseCell>> {
-    CASE_STUDIES.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn assess_map() -> &'static Mutex<HashMap<AssessmentKey, AssessCell>> {
-    ASSESSMENTS.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn scan_map() -> &'static Mutex<HashMap<ScanKey, ScanCell>> {
-    SCANS.get_or_init(|| Mutex::new(HashMap::new()))
+/// Ticks `misses` when this request computed (or read from disk), `hits`
+/// when it was answered by the memory tier.
+fn count(computed: bool, misses: &Counter, hits: &Counter) {
+    if computed {
+        misses.inc();
+    } else {
+        hits.inc();
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -570,17 +564,14 @@ pub fn reset_stats() {
 
 /// Empties the memory tier and zeroes the counters (for tests and
 /// benchmarks that need cold-start behaviour). In-flight computations
-/// finish on their own cells and are simply not retained. The **disk**
+/// still answer their waiters but are not retained. The **disk**
 /// tier is deliberately untouched: that is the whole point of a
 /// persistent store — tests that need a cold disk remove the directory or
 /// point [`set_disk_cache`] elsewhere.
 pub fn clear() {
-    case_map().lock().expect("campaign cache poisoned").clear();
-    assess_map()
-        .lock()
-        .expect("campaign cache poisoned")
-        .clear();
-    scan_map().lock().expect("campaign cache poisoned").clear();
+    CASE_STUDIES.clear();
+    ASSESSMENTS.clear();
+    SCANS.clear();
     reset_stats();
 }
 
@@ -609,13 +600,7 @@ pub fn cached_case_study(scenario: &Scenario, seed: u64) -> Result<Arc<Benchmark
         ),
         fault: campaign::fault_injection().map_or(0, |c| c.fingerprint()),
     };
-    let cell = {
-        let mut map = case_map().lock().expect("campaign cache poisoned");
-        map.entry(key).or_default().clone()
-    };
-    let mut computed = false;
-    let result = cell.get_or_init(|| {
-        computed = true;
+    let (report, computed) = CASE_STUDIES.get_or_compute(key, || {
         let hash = key.content_hash();
         if let Some(report) = disk_get::<BenchmarkReport>("case", hash) {
             return Ok(Arc::new(report));
@@ -626,12 +611,8 @@ pub fn cached_case_study(scenario: &Scenario, seed: u64) -> Result<Arc<Benchmark
         }
         fresh
     });
-    if computed {
-        counters().case_misses.inc();
-    } else {
-        counters().case_hits.inc();
-    }
-    result.clone()
+    count(computed, &counters().case_misses, &counters().case_hits);
+    report
 }
 
 /// Memoized [`assess_catalog`]: the generic attribute sheets for a metric
@@ -650,13 +631,7 @@ pub fn cached_assessment(
         seed: cfg.seed,
         metrics: metrics_fingerprint(metrics),
     };
-    let cell = {
-        let mut map = assess_map().lock().expect("campaign cache poisoned");
-        map.entry(key).or_default().clone()
-    };
-    let mut computed = false;
-    let sheets = cell.get_or_init(|| {
-        computed = true;
+    let (sheets, computed) = ASSESSMENTS.get_or_compute(key, || {
         let hash = key.content_hash();
         if let Some(sheets) = disk_get::<Vec<AttributeAssessment>>("assess", hash) {
             return Arc::new(sheets);
@@ -665,12 +640,8 @@ pub fn cached_assessment(
         disk_put("assess", hash, fresh.as_ref());
         fresh
     });
-    if computed {
-        counters().assess_misses.inc();
-    } else {
-        counters().assess_hits.inc();
-    }
-    sheets.clone()
+    count(computed, &counters().assess_misses, &counters().assess_hits);
+    sheets
 }
 
 /// Memoized [`score_detector`]: one tool scanned over one corpus, keyed
@@ -682,18 +653,34 @@ pub fn cached_assessment(
 /// re-executing hundreds of attack sessions.
 #[must_use]
 pub fn cached_scan(tool: &dyn Detector, corpus: &Corpus) -> Arc<DetectionOutcome> {
+    scan_fingerprinted(tool, corpus, corpus_fingerprint(corpus))
+}
+
+/// Memoized [`score_detector`] for several tools on one corpus, in tool
+/// order: [`cached_scan`] per tool, but the corpus is fingerprinted once
+/// (hashing its canonical JSON costs a few milliseconds per hundred
+/// units) and the tools are scanned concurrently on the pool.
+#[must_use]
+pub fn cached_scans(tools: &[Box<dyn Detector>], corpus: &Corpus) -> Vec<Arc<DetectionOutcome>> {
+    let fingerprint = corpus_fingerprint(corpus);
+    tools
+        .par_iter()
+        .map(|tool| scan_fingerprinted(tool.as_ref(), corpus, fingerprint))
+        .collect()
+}
+
+/// [`cached_scan`] with the corpus fingerprint already computed.
+fn scan_fingerprinted(
+    tool: &dyn Detector,
+    corpus: &Corpus,
+    fingerprint: u64,
+) -> Arc<DetectionOutcome> {
     let key = ScanKey {
         tool: tool_fingerprint(tool),
-        corpus: corpus_fingerprint(corpus),
+        corpus: fingerprint,
         fault: campaign::fault_injection().map_or(0, |c| c.fingerprint()),
     };
-    let cell = {
-        let mut map = scan_map().lock().expect("campaign cache poisoned");
-        map.entry(key).or_default().clone()
-    };
-    let mut computed = false;
-    let outcome = cell.get_or_init(|| {
-        computed = true;
+    let (outcome, computed) = SCANS.get_or_compute(key, || {
         let hash = key.content_hash();
         if let Some(outcome) = disk_get::<DetectionOutcome>("scan", hash) {
             return Arc::new(outcome);
@@ -702,12 +689,8 @@ pub fn cached_scan(tool: &dyn Detector, corpus: &Corpus) -> Arc<DetectionOutcome
         disk_put("scan", hash, fresh.as_ref());
         fresh
     });
-    if computed {
-        counters().scan_misses.inc();
-    } else {
-        counters().scan_hits.inc();
-    }
-    outcome.clone()
+    count(computed, &counters().scan_misses, &counters().scan_hits);
+    outcome
 }
 
 /// Memoized artifact rendering — the final, coarsest cache tier.
@@ -884,7 +867,7 @@ mod tests {
     /// sibling test is asserting `Arc::ptr_eq` on live entries, and the
     /// disk-tier configuration is process-global.
     fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock().expect("cache test lock poisoned")
     }
 
@@ -955,6 +938,23 @@ mod tests {
         assert!(!Arc::ptr_eq(&first, &other_tool));
         // The cached outcome matches a direct scan exactly.
         assert_eq!(*first, score_detector(&quick, &corpus_a));
+    }
+
+    #[test]
+    fn batched_scans_match_single_scans_in_tool_order() {
+        let _guard = test_lock();
+        let corpus = CorpusBuilder::new().units(20).seed(0x5CAC).build();
+        let tools: Vec<Box<dyn Detector>> = vec![
+            Box::new(DynamicScanner::thorough()),
+            Box::new(DynamicScanner::quick()),
+        ];
+        let batched = cached_scans(&tools, &corpus);
+        assert_eq!(batched.len(), 2);
+        for (tool, outcome) in tools.iter().zip(&batched) {
+            let single = cached_scan(tool.as_ref(), &corpus);
+            assert!(Arc::ptr_eq(outcome, &single), "same memo entry");
+            assert_eq!(outcome.tool(), tool.name());
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! a Friedman test on the metric's tool scores (does the metric see *any*
 //! consistent tool differences at all?).
 
-use crate::cache::cached_scan;
+use crate::cache::cached_scans;
 use crate::error::{CoreError, Result};
 use serde::{Deserialize, Serialize};
 use vdbench_corpus::CorpusBuilder;
@@ -88,9 +88,9 @@ pub fn cross_workload_consistency(
         // Cached scans: within a process the sweep shares outcomes with
         // any sibling artifact on the same `(tool, corpus)`; across
         // processes the disk tier replays them without re-scanning.
-        let row: Vec<_> = tools
+        let row: Vec<_> = cached_scans(tools, &corpus)
             .iter()
-            .map(|t| cached_scan(t.as_ref(), &corpus).confusion())
+            .map(|outcome| outcome.confusion())
             .collect();
         confusions.push(row);
     }

@@ -33,6 +33,7 @@ pub mod cache;
 pub mod campaign;
 pub mod consistency;
 pub mod error;
+pub mod memo;
 pub mod ranking;
 pub mod scale;
 pub mod scenario;
@@ -43,12 +44,13 @@ pub use attributes::{assess_catalog, AssessmentConfig, AttributeAssessment, Metr
 pub use benchmark::{Benchmark, BenchmarkReport, ScanRecord};
 pub use cache::{
     artifact_key, blob_inventory_in, bytes_blob_get, bytes_blob_put, cached_artifact,
-    cached_assessment, cached_case_study, cached_scan, disk_cache_dir, fnv1a_fold_u64, fnv1a_key,
-    gc_dir, raw_blob_get, raw_blob_put, set_disk_cache, BlobInventory, CacheStats,
-    CACHE_SCHEMA_VERSION,
+    cached_assessment, cached_case_study, cached_scan, cached_scans, disk_cache_dir,
+    fnv1a_fold_u64, fnv1a_key, gc_dir, raw_blob_get, raw_blob_put, set_disk_cache, BlobInventory,
+    CacheStats, CACHE_SCHEMA_VERSION,
 };
 pub use campaign::{fault_injection, run_case_study_faulty, set_fault_injection};
 pub use error::CoreError;
+pub use memo::Memo;
 pub use ranking::{rank_by_metric, RankingTable};
 pub use scale::{
     default_scan_threads, streamed_scan, streamed_scan_serial, streamed_scan_with_threads,

@@ -4,6 +4,7 @@
 use crate::error::Result;
 use crate::scenario::{standard_scenarios, Scenario};
 use crate::selection::{MetricSelector, SelectionOutcome};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use vdbench_experts::Panel;
 use vdbench_mcda::decision::{Criterion, DecisionMatrix, Direction};
@@ -147,36 +148,48 @@ pub fn noise_robustness(
     panel_size: usize,
     seed: u64,
 ) -> Result<Vec<NoisePoint>> {
+    // Panel seeds come from one stream in (σ, panel) order, exactly as a
+    // serial sweep draws them; the panels then run on the pool, so every
+    // point is the same at any thread count.
     let mut rng = SeededRng::new(seed);
-    let mut out = Vec::with_capacity(noise_grid.len());
-    for &noise in noise_grid {
-        let mut hits = 0usize;
-        let mut taus = Vec::with_capacity(panels_per_point);
-        for _ in 0..panels_per_point {
-            let panel_seed = {
-                use rand::RngCore;
-                rng.next_u64()
-            };
+    let panels: Vec<(f64, u64)> = noise_grid
+        .iter()
+        .flat_map(|&noise| std::iter::repeat_n(noise, panels_per_point))
+        .map(|noise| {
+            use rand::RngCore;
+            (noise, rng.next_u64())
+        })
+        .collect();
+    let outcomes: Vec<SelectionOutcome> = panels
+        .par_iter()
+        .map(|&(noise, panel_seed)| {
             let panel =
                 Panel::homogeneous(&scenario.weight_vector(), panel_size, noise, panel_seed);
-            let outcome = selector.select(scenario, &panel)?;
-            if outcome.top1_agree {
-                hits += 1;
+            selector.select(scenario, &panel)
+        })
+        .collect::<Result<_>>()?;
+    let out = noise_grid
+        .iter()
+        .enumerate()
+        .map(|(i, &noise)| {
+            let point = &outcomes[i * panels_per_point..(i + 1) * panels_per_point];
+            let hits = point.iter().filter(|o| o.top1_agree).count();
+            let taus: Vec<f64> = point
+                .iter()
+                .map(|o| o.agreement_tau)
+                .filter(|tau| tau.is_finite())
+                .collect();
+            NoisePoint {
+                noise,
+                top1_persistence: hits as f64 / panels_per_point as f64,
+                mean_tau: if taus.is_empty() {
+                    f64::NAN
+                } else {
+                    taus.iter().sum::<f64>() / taus.len() as f64
+                },
             }
-            if outcome.agreement_tau.is_finite() {
-                taus.push(outcome.agreement_tau);
-            }
-        }
-        out.push(NoisePoint {
-            noise,
-            top1_persistence: hits as f64 / panels_per_point as f64,
-            mean_tau: if taus.is_empty() {
-                f64::NAN
-            } else {
-                taus.iter().sum::<f64>() / taus.len() as f64
-            },
-        });
-    }
+        })
+        .collect();
     Ok(out)
 }
 

@@ -62,16 +62,15 @@ pub trait Detector: std::fmt::Debug + Send + Sync {
     /// exactly the serial result; `RAYON_NUM_THREADS=1` forces the serial
     /// path (used by the determinism regression tests).
     ///
-    /// Findings are folded into **one accumulator per worker** and the
-    /// per-worker vectors concatenated in chunk order — the old
-    /// `Vec<Vec<Finding>>` intermediate (one allocation per unit, most of
-    /// them empty) is gone, and because workers own contiguous unit
-    /// ranges the concatenation preserves unit order exactly.
+    /// Each unit's findings come back in unit order and are concatenated
+    /// once; a unit without findings costs no allocation (an empty `Vec`
+    /// owns no buffer).
     ///
     /// When telemetry recording is on, the whole scan is wrapped in a
     /// `detectors/scan_corpus` span and each unit in a
-    /// `detectors/scan_unit` span on the worker's own track, so the trace
-    /// shows the per-tool schedule exactly as the pool ran it.
+    /// `detectors/scan_unit` span on the track of the thread that scanned
+    /// it, so the trace shows the per-tool schedule exactly as the pool
+    /// ran it.
     fn analyze_corpus(&self, corpus: &Corpus) -> Vec<Finding> {
         let _span = vdbench_telemetry::span!(
             "detectors",
@@ -79,18 +78,15 @@ pub trait Detector: std::fmt::Debug + Send + Sync {
             tool = self.name(),
             units = corpus.units().len()
         );
-        corpus
+        let per_unit: Vec<Vec<Finding>> = corpus
             .units()
             .par_iter()
-            .fold(Vec::new, |mut acc: Vec<Finding>, u| {
+            .map(|u| {
                 let _span = vdbench_telemetry::span!("detectors", "scan_unit");
-                acc.extend(self.analyze(corpus, u));
-                acc
+                self.analyze(corpus, u)
             })
-            .reduce(Vec::new, |mut a, b| {
-                a.extend(b);
-                a
-            })
+            .collect();
+        per_unit.concat()
     }
 
     /// Fallible whole-corpus scan — the resilient engine's entry point.

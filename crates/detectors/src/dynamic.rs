@@ -253,13 +253,13 @@ impl Detector for DynamicScanner {
 
     /// Scans the whole corpus on the rayon pool, sharing one
     /// [`Interpreter`] across all units and one [`InterpScratch`] per
-    /// worker. The interpreter is a stateless bundle of execution limits,
-    /// so sharing it is free and thread-safe; the scratch (pooled
-    /// environment frames plus the session store) is carried across the
-    /// worker's whole contiguous run of units, so steady-state scanning
-    /// performs no environment allocation at all. Findings are folded
-    /// per worker and concatenated in unit order, identical to the serial
-    /// scan.
+    /// participating thread. The interpreter is a stateless bundle of
+    /// execution limits, so sharing it is free and thread-safe; the
+    /// scratch (pooled environment frames plus the session store) is
+    /// carried across every unit the thread claims, so steady-state
+    /// scanning performs no environment allocation at all. Findings are
+    /// collected per unit and concatenated in unit order, identical to
+    /// the serial scan.
     fn analyze_corpus(&self, corpus: &Corpus) -> Vec<Finding> {
         let _span = vdbench_telemetry::span!(
             "detectors",
@@ -268,25 +268,15 @@ impl Detector for DynamicScanner {
             units = corpus.units().len()
         );
         let interp = Interpreter::default();
-        corpus
+        let per_unit: Vec<Vec<Finding>> = corpus
             .units()
             .par_iter()
-            .fold(
-                || (Vec::new(), InterpScratch::new()),
-                |(mut acc, mut scratch): (Vec<Finding>, InterpScratch), u| {
-                    let _span = vdbench_telemetry::span!("detectors", "scan_unit");
-                    acc.extend(self.analyze_with(&interp, u, &mut scratch));
-                    (acc, scratch)
-                },
-            )
-            .reduce(
-                || (Vec::new(), InterpScratch::new()),
-                |(mut a, scratch), (b, _)| {
-                    a.extend(b);
-                    (a, scratch)
-                },
-            )
-            .0
+            .map_init(InterpScratch::new, |scratch, u| {
+                let _span = vdbench_telemetry::span!("detectors", "scan_unit");
+                self.analyze_with(&interp, u, scratch)
+            })
+            .collect();
+        per_unit.concat()
     }
 }
 

@@ -38,9 +38,9 @@ fn record_replicates(n: usize) {
 }
 
 /// Bumps the `bootstrap.scratch.reuses` counter by `n` — the number of
-/// replicates a worker evaluated by *reusing* its per-worker scratch buffer
+/// replicates a thread evaluated by *reusing* its per-thread scratch buffer
 /// instead of allocating a fresh resample `Vec` (i.e. every replicate after
-/// the first on each worker chunk). The counter is the observable proof
+/// the first that thread evaluated in the call). The counter is the observable proof
 /// that the streaming kernels actually avoid per-replicate allocation; the
 /// kernel bench and the scratch-reuse regression test read it back.
 fn record_scratch_reuses(n: u64) {
@@ -56,8 +56,9 @@ fn record_scratch_reuses(n: u64) {
     }
 }
 
-/// Per-worker resampling scratch: a reusable buffer plus the running count
-/// of reuses, flushed to the telemetry counter when the worker chunk ends.
+/// Per-thread resampling scratch: a reusable buffer plus the running count
+/// of reuses, flushed to the telemetry counter when the thread's share of
+/// the call ends.
 struct ReplicateScratch<T> {
     buf: Vec<T>,
     reuses: u64,
@@ -149,9 +150,9 @@ impl Bootstrap {
     /// Draws the raw replicate distribution of `statistic` over resamples of
     /// `data` (with replacement, same size).
     ///
-    /// Replicate `i` streams its resample into a **per-worker scratch
-    /// buffer** (`map_init`): each worker allocates one buffer for its whole
-    /// chunk and clears/refills it per replicate, instead of materializing a
+    /// Replicate `i` streams its resample into a **per-thread scratch
+    /// buffer** (`map_init`): each participating thread allocates one buffer
+    /// for all the replicates it claims and clears/refills it per replicate, instead of materializing a
     /// fresh `Vec` per replicate. Because replicate `i`'s RNG depends only
     /// on `(base, i)` and the scratch carries no state between items, the
     /// output is bit-identical to the retained materializing oracle
