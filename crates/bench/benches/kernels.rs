@@ -3,12 +3,11 @@
 //! Five groups, one per optimized kernel family:
 //!
 //! * `kendall`  — Knight's O(n log n) τ-b vs the retained O(n²) oracle;
-//! * `bootstrap` — streaming per-worker-scratch replicates vs the retained
-//!   materializing oracle, plus `select_nth` quantiles vs clone-and-sort;
-//! * `interp`   — all three MiniWeb execution tiers over the same corpus:
-//!   tree-walking reference, slot-compiled walker, bytecode register VM;
+//! * `bootstrap` — `select_nth` quantiles vs clone-and-sort;
+//! * `interp`   — both MiniWeb execution tiers over the same corpus:
+//!   tree-walking reference and bytecode register VM;
 //! * `vm`       — per-opcode-class microbenches isolating each bytecode
-//!   superinstruction family (slotwalk vs bytecode);
+//!   superinstruction family (treewalk vs bytecode);
 //! * `scan`     — the dynamic scanner's whole-corpus path (compiled units,
 //!   pooled scratch, per-worker fold), new implementation only (the old
 //!   path no longer exists at this granularity).
@@ -33,7 +32,7 @@ use vdbench_corpus::{
 use vdbench_detectors::{Detector, DynamicScanner};
 use vdbench_stats::correlation::{kendall_tau, kendall_tau_naive};
 use vdbench_stats::descriptive::{quantile_sorted, quantile_unsorted};
-use vdbench_stats::{Bootstrap, SeededRng};
+use vdbench_stats::SeededRng;
 
 /// Tie-heavy paired data (the regime rank statistics actually see: metric
 /// scores quantized by small confusion-matrix counts).
@@ -58,57 +57,6 @@ fn bench_kendall(c: &mut Criterion) {
 }
 
 fn bench_bootstrap(c: &mut Criterion) {
-    // Pin to one thread so the comparison isolates the allocation
-    // behaviour of the replicate kernel, not pool scheduling.
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let data: Vec<f64> = (0..400).map(|i| (i % 10) as f64).collect();
-    let boot = Bootstrap::new(1000);
-    let mean = |s: &[f64]| s.iter().sum::<f64>() / s.len() as f64;
-    c.bench_function("bootstrap/materialized-400x1000", |b| {
-        b.iter(|| {
-            let mut rng = SeededRng::new(11);
-            black_box(
-                boot.replicate_distribution_materialized(black_box(&data), mean, &mut rng)
-                    .unwrap(),
-            )
-        })
-    });
-    c.bench_function("bootstrap/streaming-400x1000", |b| {
-        b.iter(|| {
-            let mut rng = SeededRng::new(11);
-            black_box(
-                boot.replicate_distribution(black_box(&data), mean, &mut rng)
-                    .unwrap(),
-            )
-        })
-    });
-    // Small resamples are the shape `run_all` actually draws (per-scenario
-    // metric vectors): here the per-replicate allocation is a visible
-    // fraction of the kernel, which is what the streaming path removes.
-    let small: Vec<f64> = (0..64).map(|i| (i % 7) as f64).collect();
-    let boot_small = Bootstrap::new(4000);
-    c.bench_function("bootstrap/materialized-64x4000", |b| {
-        b.iter(|| {
-            let mut rng = SeededRng::new(13);
-            black_box(
-                boot_small
-                    .replicate_distribution_materialized(black_box(&small), mean, &mut rng)
-                    .unwrap(),
-            )
-        })
-    });
-    c.bench_function("bootstrap/streaming-64x4000", |b| {
-        b.iter(|| {
-            let mut rng = SeededRng::new(13);
-            black_box(
-                boot_small
-                    .replicate_distribution(black_box(&small), mean, &mut rng)
-                    .unwrap(),
-            )
-        })
-    });
-    std::env::remove_var("RAYON_NUM_THREADS");
-
     // Percentile endpoints: full clone-and-sort vs select_nth partition.
     let mut rng = SeededRng::new(5);
     let reps: Vec<f64> = (0..4096).map(|_| rng.uniform()).collect();
@@ -152,8 +100,8 @@ fn bench_interp(c: &mut Criterion) {
     // it (once per unit per `analyze_with`, amortized over the whole
     // batch; `thorough` runs up to 96 sessions per compile, so charging it
     // here would *overstate* its cost). The treewalk pays name lookups and
-    // body clones per session; the compiled path runs slot frames recycled
-    // through one scratch.
+    // body clones per session; the VM runs frames recycled through one
+    // scratch.
     c.bench_function("interp/treewalk-20units-x8", |b| {
         b.iter(|| {
             let mut sinks = 0usize;
@@ -168,20 +116,6 @@ fn bench_interp(c: &mut Criterion) {
         })
     });
     let compiled: Vec<CompiledUnit> = corpus.units().iter().map(CompiledUnit::compile).collect();
-    c.bench_function("interp/slotwalk-20units-x8", |b| {
-        let mut scratch = InterpScratch::new();
-        b.iter(|| {
-            let mut sinks = 0usize;
-            for (cu, session) in compiled.iter().zip(&requests) {
-                for _ in 0..8 {
-                    sinks += interp
-                        .run_compiled_slotwalk(cu, session, &mut scratch)
-                        .map_or(0, |o| o.len());
-                }
-            }
-            black_box(sinks)
-        })
-    });
     c.bench_function("interp/vm-20units-x8", |b| {
         let mut scratch = InterpScratch::new();
         b.iter(|| {
@@ -217,7 +151,7 @@ fn src(kind: SourceKind, name: &str) -> Expr {
 /// Per-opcode-class microbenches: each unit isolates one superinstruction
 /// family of the bytecode tier (fused compare-branch, accumulator concat,
 /// n-ary concat into a sink, inline-cached calls, counting-loop
-/// summarization), measured slotwalk vs bytecode over the same sessions.
+/// summarization), measured treewalk vs bytecode over the same sessions.
 fn bench_vm(c: &mut Criterion) {
     let site = SiteId { unit: 0, sink: 0 };
     let cases: Vec<(&str, Unit)> = vec![
@@ -364,13 +298,12 @@ fn bench_vm(c: &mut Criterion) {
     for (name, unit) in &cases {
         let session = [attack_request(unit)];
         let cu = CompiledUnit::compile(unit);
-        c.bench_function(&format!("vm/slotwalk-{name}-x64"), |b| {
-            let mut scratch = InterpScratch::new();
+        c.bench_function(&format!("vm/treewalk-{name}-x64"), |b| {
             b.iter(|| {
                 let mut sinks = 0usize;
                 for _ in 0..64 {
                     sinks += interp
-                        .run_compiled_slotwalk(&cu, &session, &mut scratch)
+                        .run_session_treewalk(unit, &session)
                         .map_or(0, |o| o.len());
                 }
                 black_box(sinks)
@@ -452,29 +385,14 @@ fn mean_of(results: &[BenchResult], id: &str) -> Option<f64> {
 
 /// The old/new kernel pairs the report and the README table are built
 /// from: `(kernel, old_id, new_id)`.
-const PAIRS: [(&str, &str, &str); 13] = [
+const PAIRS: [(&str, &str, &str); 10] = [
     ("kendall-128", "kendall/naive/128", "kendall/knight/128"),
     ("kendall-512", "kendall/naive/512", "kendall/knight/512"),
     ("kendall-2048", "kendall/naive/2048", "kendall/knight/2048"),
     (
-        "bootstrap-replicates",
-        "bootstrap/materialized-400x1000",
-        "bootstrap/streaming-400x1000",
-    ),
-    (
-        "bootstrap-replicates-small",
-        "bootstrap/materialized-64x4000",
-        "bootstrap/streaming-64x4000",
-    ),
-    (
         "bootstrap-quantiles",
         "bootstrap/quantile-sort-4096",
         "bootstrap/quantile-select-4096",
-    ),
-    (
-        "interp-slotwalk",
-        "interp/treewalk-20units-x8",
-        "interp/slotwalk-20units-x8",
     ),
     (
         "interp-session",
@@ -483,27 +401,27 @@ const PAIRS: [(&str, &str, &str); 13] = [
     ),
     (
         "vm-guard-gate",
-        "vm/slotwalk-guard-gate-x64",
+        "vm/treewalk-guard-gate-x64",
         "vm/bytecode-guard-gate-x64",
     ),
     (
         "vm-concat-chain",
-        "vm/slotwalk-concat-chain-x64",
+        "vm/treewalk-concat-chain-x64",
         "vm/bytecode-concat-chain-x64",
     ),
     (
         "vm-query-sink",
-        "vm/slotwalk-query-sink-x64",
+        "vm/treewalk-query-sink-x64",
         "vm/bytecode-query-sink-x64",
     ),
     (
         "vm-call-helper",
-        "vm/slotwalk-call-helper-x64",
+        "vm/treewalk-call-helper-x64",
         "vm/bytecode-call-helper-x64",
     ),
     (
         "vm-loop-count",
-        "vm/slotwalk-loop-count-x64",
+        "vm/treewalk-loop-count-x64",
         "vm/bytecode-loop-count-x64",
     ),
 ];
@@ -515,14 +433,12 @@ fn pair_labels(kernel: &str) -> Option<(&'static str, &'static str)> {
         "kendall-512" => ("O(n²) pair scan", "Knight's O(n log n)"),
         "kendall-2048" => ("O(n²) pair scan", "Knight's O(n log n)"),
         "bootstrap-quantiles" => ("clone + full sort", "`select_nth` partition"),
-        "bootstrap-replicates" => ("per-replicate alloc", "streaming scratch"),
-        "interp-slotwalk" => ("treewalk + name maps", "slot-compiled walker"),
         "interp-session" => ("treewalk + name maps", "bytecode register VM"),
-        "vm-guard-gate" => ("slot-compiled walker", "fused compare-branch"),
-        "vm-concat-chain" => ("slot-compiled walker", "in-place accumulator concat"),
-        "vm-query-sink" => ("slot-compiled walker", "n-ary concat superinsn"),
-        "vm-call-helper" => ("slot-compiled walker", "inline-cached call"),
-        "vm-loop-count" => ("slot-compiled walker", "counting-loop summarization"),
+        "vm-guard-gate" => ("treewalk + name maps", "fused compare-branch"),
+        "vm-concat-chain" => ("treewalk + name maps", "in-place accumulator concat"),
+        "vm-query-sink" => ("treewalk + name maps", "n-ary concat superinsn"),
+        "vm-call-helper" => ("treewalk + name maps", "inline-cached call"),
+        "vm-loop-count" => ("treewalk + name maps", "counting-loop summarization"),
         _ => return None,
     })
 }

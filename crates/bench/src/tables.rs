@@ -559,7 +559,7 @@ pub fn table9() -> String {
     out
 }
 
-/// Sanity header shared by `run_all`: the tool roster and seed in use.
+/// Campaign sanity header: the tool roster and seed in use.
 pub fn preamble() -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -583,7 +583,7 @@ pub fn scenarios() -> Vec<Scenario> {
 /// ambient fault-injection configuration: status, attempts, recorded
 /// backoff and terminal error per tool, plus the campaign-level roll-up.
 ///
-/// `run_all` appends this artifact only when a fault profile is active
+/// `vdbench campaign` appends this artifact only when a fault profile is active
 /// (`--fault-profile flaky|hostile`), keeping the fault-free transcript
 /// byte-identical to the historical sixteen-artifact output.
 pub fn availability() -> String {

@@ -1,7 +1,7 @@
 //! Wall-clock instrumentation for the campaign engine — a **derived view**
 //! over the telemetry subsystem.
 //!
-//! `run_all --timings` enables span recording, runs the campaign, then
+//! `vdbench campaign --timings on` enables span recording, runs the campaign, then
 //! builds a [`CampaignTiming`] record *from the trace and the metrics
 //! registry* ([`CampaignTiming::from_telemetry`]): per-artifact wall-clock
 //! comes from the `bench/artifact` spans, the cache counters from the
@@ -16,7 +16,7 @@
 //! serialized record keeps the stages in campaign order for stable
 //! machine diffs.
 //!
-//! When `run_all`'s persistent disk cache is active, the record also
+//! When the campaign's persistent disk cache is active, the record also
 //! carries the cold/warm pair: `cold_millis` is the wall-clock of the
 //! first campaign ever run against that cache directory (persisted as a
 //! baseline file alongside the blobs), `warm_millis` the wall-clock of
@@ -115,7 +115,7 @@ impl From<vdbench_core::CacheStats> for CacheCounters {
     }
 }
 
-/// The full timing record of one `run_all` campaign.
+/// The full timing record of one `vdbench campaign` run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignTiming {
     /// The experiment seed.
@@ -173,7 +173,7 @@ impl CampaignTiming {
     /// cache counters from the registry snapshot, and thread counts from
     /// the rayon shim (requested width, realized high-water mark, and
     /// pool workers spawned).
-    /// The cold/warm pair starts empty — `run_all` fills it in from the
+    /// The cold/warm pair starts empty — the campaign fills it in from the
     /// disk-cache baseline when the disk tier is active.
     #[must_use]
     pub fn from_telemetry(seed: u64, trace: &Trace, metrics: &MetricsSnapshot) -> Self {

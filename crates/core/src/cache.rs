@@ -7,7 +7,7 @@
 //! assessment ([`crate::attributes::assess_catalog`]) and the raw
 //! tool-on-corpus scans behind the extension studies
 //! ([`vdbench_detectors::score_detector`]). Run stand-alone, each binary
-//! recomputes them from scratch; run together (`run_all`), that is a 15×
+//! recomputes them from scratch; run together (`vdbench campaign`), that is a 15×
 //! waste; run *twice* (CI re-runs, golden-file checks, iterative artifact
 //! work), even the memoized process pays the full scan bill again. This
 //! module provides a **two-tier**, content-keyed cache:
@@ -19,8 +19,8 @@
 //! 2. **Disk tier** — an optional content-addressed store of
 //!    serde-serialized result blobs (one JSON file per key, named
 //!    `v{schema}-{kind}-{key:016x}.json`). Off by default in the library;
-//!    `run_all` enables it at `target/vdbench-cache/` (override with
-//!    `--cache-dir`, disable with `--no-disk-cache`). A memory-tier miss
+//!    `vdbench campaign` enables it at `target/vdbench-cache/` (override
+//!    with `--cache-dir`, disable with `--disk-cache off`). A memory-tier miss
 //!    first consults the disk; only a miss in **both** tiers computes.
 //!    Writes are atomic (unique tmp file + rename), reads are lock-free
 //!    (plain `fs::read`, no file locking — the rename publishes complete
@@ -68,7 +68,7 @@
 //! next time the store is opened — the cache self-invalidates instead of
 //! deserializing garbage.
 //!
-//! Hit/miss counters for all tiers feed the `run_all --timings`
+//! Hit/miss counters for all tiers feed the `vdbench campaign --timings`
 //! instrumentation and the determinism regression tests; [`clear`] resets
 //! the memory tier for tests that need cold-start behaviour (the disk
 //! tier is left untouched — remove the directory, or point
@@ -698,7 +698,7 @@ fn scan_fingerprinted(
 /// A campaign artifact (one table or figure) is a pure function of its
 /// `name`, the experiment `seed` and the ambient fault configuration, so
 /// its rendered text can be replayed byte-for-byte from the disk store.
-/// This is what makes a warm `run_all` fast end to end: the intermediate
+/// This is what makes a warm campaign fast end to end: the intermediate
 /// tiers remove the *scans*, this tier also removes the post-processing
 /// (bootstrap panels, rank statistics, chart layout) computed on top of
 /// them. The JSON string codec is lossless for every Rust string

@@ -24,7 +24,7 @@ static FAULT_INJECTION: RwLock<Option<FaultConfig>> = RwLock::new(None);
 /// configuration consulted by [`run_case_study`].
 ///
 /// The configuration is ambient rather than threaded through every
-/// table/figure entry point so the sixteen `run_all` artifacts keep their
+/// table/figure entry point so the sixteen campaign artifacts keep their
 /// uniform `fn() -> String` shape; the campaign cache keys on the
 /// configuration's fingerprint, so reports computed under different
 /// configurations never alias (see [`crate::cache`]).

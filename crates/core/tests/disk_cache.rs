@@ -4,7 +4,7 @@
 //! the same lock, points the store at its own scratch directory under
 //! the system temp dir, and detaches the store (and empties the memory
 //! tier) before releasing the lock. The properties under test are the
-//! ones `run_all`'s byte-identical-transcript guarantee rests on:
+//! ones the campaign's byte-identical-transcript guarantee rests on:
 //!
 //! * a value that round-trips through a blob renders **byte-identically**
 //!   to the freshly computed one (including non-finite metric values);

@@ -1,11 +1,11 @@
 //! Flat bytecode register VM: the interpreter's fastest execution tier.
 //!
-//! The slot-compiled walker in [`crate::compile`] removed name lookups and
-//! body clones but still pays tree-recursion overhead on every expression
-//! node: a `match` dispatch, a `tick()` branch, and a fresh [`Value`]
-//! allocation per node. This module linearizes each compiled function into
-//! a flat instruction stream executed over a dense register file, which is
-//! where the remaining interpretation cost lives:
+//! The slot-compiled form in [`crate::compile`] removes name lookups and
+//! body clones; walking it would still pay tree-recursion overhead on every
+//! expression node: a `match` dispatch, a `tick()` branch, and a fresh
+//! [`Value`] allocation per node. This module linearizes each compiled
+//! function into a flat instruction stream executed over a dense register
+//! file, which is where the remaining interpretation cost lives:
 //!
 //! * **Batched fuel guards** — the step budget is charged per statement and
 //!   per expression node at *identical* points to the tree-walker, but in
@@ -27,8 +27,8 @@
 //!   or `Source` (request input read on demand). Temporaries use a
 //!   stack-discipline allocator reset per statement; loop-iteration
 //!   counters are pinned registers below the temp floor. Frames come from
-//!   the same [`InterpScratch`] pool as the slot walker and are returned
-//!   on success *and* on error.
+//!   the [`InterpScratch`] pool and are returned on success *and* on
+//!   error.
 //! * **Inline-cached calls** — call targets and arity are resolved at
 //!   compile time; a resolved call site is a direct [`Insn::Call`] (an
 //!   inline-cache *hit* when executed). Unresolvable or wrong-arity sites
@@ -42,9 +42,8 @@
 //! `interp.vm.inline_cache.{hits,misses}`) with the same always-live
 //! counter pattern as `interp.env.interned_slots`.
 //!
-//! Equivalence with [`Interpreter::run_session_treewalk`] (and the retained
-//! slot walker, [`Interpreter::run_compiled_slotwalk`]) is bit-for-bit:
-//! observations, errors, and the step at which limits fire. The three-tier
+//! Equivalence with [`Interpreter::run_session_treewalk`] is bit-for-bit:
+//! observations, errors, and the step at which limits fire. The two-tier
 //! property suite in `crates/corpus/tests/kernel_equivalence.rs` enforces
 //! it over generated corpora and attack sessions.
 
@@ -1539,8 +1538,7 @@ impl Vm<'_> {
                         frame[i] = Some(self.materialize(fcode, env, *a));
                     }
                     let res = self.exec(unit, cidx, &mut frame, depth + 1);
-                    // The frame returns to the pool on success *and* error
-                    // (the slot walker leaked it on the error path).
+                    // The frame returns to the pool on success *and* error.
                     self.frames.push(frame);
                     let ret = res?;
                     if let Some(dst) = dst {

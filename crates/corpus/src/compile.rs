@@ -1,5 +1,5 @@
-//! Slot-compiled MiniWeb units: name interning, call resolution, and the
-//! mid-tier walker behind the bytecode VM.
+//! Slot-compiled MiniWeb units: name interning and call resolution, the
+//! intermediate form the bytecode VM is compiled from.
 //!
 //! The reference interpreter in [`crate::interp`] walks the AST and keeps
 //! each function's environment in a `BTreeMap<String, Value>`, so every
@@ -9,16 +9,13 @@
 //! thousands of times, which makes those lookups and clones the hottest
 //! code in the workspace.
 //!
-//! Execution now has **three tiers**, each bit-identical to the next:
+//! Execution has **two tiers**, bit-identical to each other:
 //!
 //! 1. [`Interpreter::run_session_treewalk`] — the AST oracle defining the
 //!    semantics;
-//! 2. [`Interpreter::run_compiled_slotwalk`] — the slot-compiled walker in
-//!    this module (retained as the mid-tier oracle for the equivalence
-//!    suite);
-//! 3. [`Interpreter::run_compiled`] — the flat bytecode register VM in
+//! 2. [`Interpreter::run_compiled`] — the flat bytecode register VM in
 //!    `crate::bytecode`, the production path compiled from the
-//!    slot-compiled form.
+//!    slot-compiled form in this module.
 //!
 //! Compilation removes the lookup and clone costs while preserving the
 //! reference semantics *exactly*:
@@ -56,10 +53,7 @@
 //! how much environment traffic the slot representation absorbed.
 
 use crate::ast::{BinOp, Expr, SiteId, Stmt, Unit};
-use crate::interp::{
-    apply_sanitizer, eval_binop, Data, ExecError, Flow, Interpreter, Request, SinkObservation,
-    SinkSet, TaintList, TaintTag, Value,
-};
+use crate::interp::{ExecError, Interpreter, Request, SinkObservation, Value};
 use crate::types::{SanitizerKind, SinkKind, SourceKind};
 use std::collections::BTreeMap;
 
@@ -209,8 +203,9 @@ pub(crate) struct CompiledFunction {
 /// A [`Unit`] lowered to executable form: the handler at index 0 followed
 /// by the helpers in declaration order, so name resolution by first index
 /// match reproduces [`Unit::function`] exactly. Each function carries both
-/// its slot-compiled body (`functions`, the mid-tier walker's form) and
-/// its bytecode (`code`, what [`Interpreter::run_compiled`] executes).
+/// its slot-compiled body (`functions`, what the bytecode is lowered
+/// from) and its bytecode (`code`, what [`Interpreter::run_compiled`]
+/// executes).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledUnit {
     pub(crate) functions: Vec<CompiledFunction>,
@@ -287,11 +282,6 @@ impl CompiledUnit {
     /// added to the `interp.env.interned_slots` counter at compile time).
     pub fn total_slots(&self) -> usize {
         self.functions.iter().map(|f| f.slot_names.len()).sum()
-    }
-
-    /// The compiled handler (always present; a [`Unit`] has exactly one).
-    fn handler(&self) -> &CompiledFunction {
-        &self.functions[0]
     }
 }
 
@@ -416,9 +406,7 @@ impl Interpreter {
     /// sessions against one unit — the dynamic scanner's attack batches —
     /// compile once and keep the scratch warm.
     ///
-    /// This is the bytecode-VM tier (see `crate::bytecode`); the slot
-    /// walker remains available as
-    /// [`Interpreter::run_compiled_slotwalk`].
+    /// This is the bytecode-VM tier (see `crate::bytecode`).
     ///
     /// # Errors
     ///
@@ -430,273 +418,6 @@ impl Interpreter {
         scratch: &mut InterpScratch,
     ) -> Result<Vec<SinkObservation>, ExecError> {
         crate::bytecode::run_vm(self, unit, requests, scratch)
-    }
-
-    /// Executes a session through the slot-compiled tree walker — the
-    /// mid-tier oracle between [`Interpreter::run_session_treewalk`] and
-    /// the bytecode VM. Kept (and tested) so equivalence failures bisect
-    /// to a single lowering step.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Interpreter::run_session`].
-    pub fn run_compiled_slotwalk(
-        &self,
-        unit: &CompiledUnit,
-        requests: &[Request],
-        scratch: &mut InterpScratch,
-    ) -> Result<Vec<SinkObservation>, ExecError> {
-        scratch.store.clear();
-        let handler = unit.handler();
-        let mut observations = Vec::new();
-        for request in requests {
-            let mut env = take_frame(&mut scratch.frames, handler.slot_names.len());
-            let mut ctx = CExecCtx {
-                request,
-                interp: self,
-                steps: 0,
-                observations: &mut observations,
-                store: &mut scratch.store,
-                frames: &mut scratch.frames,
-            };
-            // The handler takes no formal parameters: inputs arrive via
-            // Source expressions against the request.
-            let flow = ctx.exec_block(unit, handler, &handler.body, &mut env, 0);
-            scratch.frames.push(env);
-            flow?;
-        }
-        Ok(observations)
-    }
-}
-
-/// Per-request execution context over a compiled unit. Mirrors the
-/// tree-walker's `ExecCtx`, with the frame pool threaded through so call
-/// frames recycle.
-struct CExecCtx<'a> {
-    request: &'a Request,
-    interp: &'a Interpreter,
-    steps: usize,
-    observations: &'a mut Vec<SinkObservation>,
-    /// The unit's persistent store, shared across a session's requests.
-    store: &'a mut BTreeMap<String, Value>,
-    frames: &'a mut Vec<Vec<Option<Value>>>,
-}
-
-impl CExecCtx<'_> {
-    /// Charges one execution step — at exactly the same points as the
-    /// tree-walking interpreter (statement execution and expression
-    /// evaluation), so `StepLimit` fires on the same step for the same
-    /// program and input.
-    fn tick(&mut self) -> Result<(), ExecError> {
-        self.steps += 1;
-        if self.steps > self.interp.max_steps {
-            Err(ExecError::StepLimit)
-        } else {
-            Ok(())
-        }
-    }
-
-    fn exec_block(
-        &mut self,
-        unit: &CompiledUnit,
-        fun: &CompiledFunction,
-        body: &[CStmt],
-        env: &mut Vec<Option<Value>>,
-        depth: usize,
-    ) -> Result<Flow, ExecError> {
-        for stmt in body {
-            match self.exec_stmt(unit, fun, stmt, env, depth)? {
-                Flow::Normal => {}
-                ret @ Flow::Return(_) => return Ok(ret),
-            }
-        }
-        Ok(Flow::Normal)
-    }
-
-    fn exec_stmt(
-        &mut self,
-        unit: &CompiledUnit,
-        fun: &CompiledFunction,
-        stmt: &CStmt,
-        env: &mut Vec<Option<Value>>,
-        depth: usize,
-    ) -> Result<Flow, ExecError> {
-        self.tick()?;
-        match stmt {
-            CStmt::Assign { slot, expr } => {
-                let v = self.eval(fun, expr, env)?;
-                env[*slot as usize] = Some(v);
-                Ok(Flow::Normal)
-            }
-            CStmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                let c = self.eval(fun, cond, env)?;
-                if c.truthy() {
-                    self.exec_block(unit, fun, then_branch, env, depth)
-                } else {
-                    self.exec_block(unit, fun, else_branch, env, depth)
-                }
-            }
-            CStmt::While { cond, body } => {
-                let mut iters = 0;
-                while self.eval(fun, cond, env)?.truthy() {
-                    iters += 1;
-                    if iters > self.interp.max_loop_iters {
-                        break; // bounded execution: treat as loop timeout
-                    }
-                    match self.exec_block(unit, fun, body, env, depth)? {
-                        Flow::Normal => {}
-                        ret @ Flow::Return(_) => return Ok(ret),
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            CStmt::Sink { kind, arg, site } => {
-                let v = self.eval(fun, arg, env)?;
-                let tainted = v.tainted_for(*kind);
-                let offending = v
-                    .taints()
-                    .iter()
-                    .filter(|t| !t.sanitized_for.contains(*kind))
-                    .map(|t| t.name.to_string())
-                    .collect();
-                self.observations.push(SinkObservation {
-                    site: *site,
-                    kind: *kind,
-                    rendered: v.render(),
-                    tainted,
-                    offending_sources: offending,
-                });
-                Ok(Flow::Normal)
-            }
-            CStmt::Call { dst, target, args } => {
-                if depth + 1 > self.interp.max_call_depth {
-                    return Err(ExecError::CallDepth);
-                }
-                let callee = match target {
-                    CallTarget::Resolved(idx) => &unit.functions[*idx as usize],
-                    CallTarget::Undefined(name) => {
-                        return Err(ExecError::UndefinedFunction(name.clone()));
-                    }
-                };
-                if callee.n_params != args.len() {
-                    return Err(ExecError::ArityMismatch {
-                        func: callee.name.clone(),
-                        expected: callee.n_params,
-                        actual: args.len(),
-                    });
-                }
-                // Parameters occupy slots 0..n_params, so arguments land
-                // directly in their frame positions (same evaluation order
-                // as the tree-walker). The frame goes back to the pool on
-                // every exit path — an early `?` here used to leak it, so
-                // a batch with failing sessions grew a fresh allocation
-                // per failure.
-                let mut frame = take_frame(self.frames, callee.slot_names.len());
-                let flow = self.call_into_frame(unit, fun, callee, args, env, &mut frame, depth);
-                self.frames.push(frame);
-                let result = match flow? {
-                    Flow::Return(v) => v,
-                    Flow::Normal => Value::untainted(Data::Str(String::new())),
-                };
-                if let Some(dst) = dst {
-                    env[*dst as usize] = Some(result);
-                }
-                Ok(Flow::Normal)
-            }
-            CStmt::Return(expr) => {
-                let v = self.eval(fun, expr, env)?;
-                Ok(Flow::Return(v))
-            }
-            CStmt::StoreWrite { key, expr } => {
-                let v = self.eval(fun, expr, env)?;
-                self.store.insert(key.clone(), v);
-                Ok(Flow::Normal)
-            }
-        }
-    }
-
-    /// Evaluates the arguments into the callee frame and executes the
-    /// body. Factored out of the `Call` arm so the caller can return the
-    /// frame to the pool on *every* exit path, including the error `?`s
-    /// in here.
-    #[allow(clippy::too_many_arguments)] // mirrors the Call arm's state
-    fn call_into_frame(
-        &mut self,
-        unit: &CompiledUnit,
-        fun: &CompiledFunction,
-        callee: &CompiledFunction,
-        args: &[CExpr],
-        env: &[Option<Value>],
-        frame: &mut Vec<Option<Value>>,
-        depth: usize,
-    ) -> Result<Flow, ExecError> {
-        for (i, arg) in args.iter().enumerate() {
-            let v = self.eval(fun, arg, env)?;
-            frame[i] = Some(v);
-        }
-        // No body clone here: the callee is borrowed from `unit`, which
-        // is independent of `&mut self`.
-        self.exec_block(unit, callee, &callee.body, frame, depth + 1)
-    }
-
-    fn eval(
-        &mut self,
-        fun: &CompiledFunction,
-        expr: &CExpr,
-        env: &[Option<Value>],
-    ) -> Result<Value, ExecError> {
-        self.tick()?;
-        match expr {
-            CExpr::Int(i) => Ok(Value::untainted(Data::Int(*i))),
-            CExpr::Str(s) => Ok(Value::untainted(Data::Str(s.clone()))),
-            CExpr::Bool(b) => Ok(Value::untainted(Data::Bool(*b))),
-            CExpr::Var(slot) => env[*slot as usize].clone().ok_or_else(|| {
-                ExecError::UndefinedVariable(fun.slot_names[*slot as usize].clone())
-            }),
-            CExpr::Source { kind, name } => {
-                let raw = self.request.get(*kind, name).to_string();
-                Ok(Value {
-                    data: Data::Str(raw),
-                    taints: TaintList::one(TaintTag {
-                        kind: *kind,
-                        name: std::sync::Arc::from(name.as_str()),
-                        sanitized_for: SinkSet::new(),
-                    }),
-                })
-            }
-            CExpr::Concat(a, b) => {
-                let va = self.eval(fun, a, env)?;
-                let vb = self.eval(fun, b, env)?;
-                let mut taints = va.taints.clone();
-                for t in &vb.taints {
-                    if !taints.contains(t) {
-                        taints.push(t.clone());
-                    }
-                }
-                Ok(Value {
-                    data: Data::Str(format!("{}{}", va.render(), vb.render())),
-                    taints,
-                })
-            }
-            CExpr::Sanitize { kind, arg } => {
-                let v = self.eval(fun, arg, env)?;
-                Ok(apply_sanitizer(*kind, v))
-            }
-            CExpr::BinOp { op, lhs, rhs } => {
-                let a = self.eval(fun, lhs, env)?;
-                let b = self.eval(fun, rhs, env)?;
-                Ok(eval_binop(*op, a, b))
-            }
-            CExpr::StoreRead { key } => Ok(self
-                .store
-                .get(key)
-                .cloned()
-                .unwrap_or_else(|| Value::untainted(Data::Str(String::new())))),
-        }
     }
 }
 

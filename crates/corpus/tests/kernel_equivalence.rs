@@ -1,16 +1,13 @@
-//! Three-tier equivalence suite for the MiniWeb interpreter.
+//! Two-tier equivalence suite for the MiniWeb interpreter.
 //!
-//! The interpreter now has three execution tiers, from oracle to
-//! production:
+//! The interpreter has two execution tiers, oracle and production:
 //!
 //! 1. [`Interpreter::run_session_treewalk`] — the historical AST walker
 //!    with `BTreeMap` environments (the semantics oracle);
-//! 2. [`Interpreter::run_compiled_slotwalk`] — the slot-compiled tree
-//!    walker (names interned to dense frame slots);
-//! 3. [`Interpreter::run_compiled`] — the bytecode register VM, the tier
+//! 2. [`Interpreter::run_compiled`] — the bytecode register VM, the tier
 //!    every production caller goes through.
 //!
-//! Every test here asserts the three tiers agree **exactly** — the same
+//! Every test here asserts the two tiers agree **exactly** — the same
 //! `Vec<SinkObservation>` on success (sites, renders, taint verdicts,
 //! offending sources, in order), the same [`ExecError`] on failure — on:
 //!
@@ -24,10 +21,10 @@
 //! * dead-guard shapes: the VM resolves calls at compile time, so
 //!   `UndefinedFunction` / `ArityMismatch` detection is *deferred* to
 //!   execution for call sites that never run — a statically-broken call
-//!   behind a never-taken branch must succeed on all tiers, and the same
-//!   call made reachable must fail identically on all tiers;
+//!   behind a never-taken branch must succeed on both tiers, and the same
+//!   call made reachable must fail identically on both tiers;
 //! * a **fuel sweep**: for every step budget from 1 up to the program's
-//!   full cost, the three tiers return identical results — which proves
+//!   full cost, the two tiers return identical results — which proves
 //!   `tick()` is charged at identical points (any divergence in charge
 //!   position flips `StepLimit` vs `Ok` at some budget). Loop-iteration
 //!   and call-depth bounds are swept the same way.
@@ -35,7 +32,7 @@
 //! The suite also pins the `InterpScratch` frame-pool invariant: failing
 //! sessions must return their frames to the pool (the historical leak
 //! grew the pool's *live* frame count on every error), so the pool size
-//! stays stable across repeated failures on both compiled tiers.
+//! stays stable across repeated failures on the VM.
 
 use proptest::prelude::*;
 use vdbench_corpus::ast::BinOp;
@@ -45,9 +42,9 @@ use vdbench_corpus::{
     SanitizerKind, SinkKind, SiteId, SourceKind, Stmt, Unit,
 };
 
-/// Runs one session through all three tiers and asserts exact agreement,
+/// Runs one session through both tiers and asserts exact agreement,
 /// returning the (shared) outcome.
-fn run_three_tiers(
+fn run_two_tiers(
     interp: &Interpreter,
     unit: &Unit,
     requests: &[Request],
@@ -55,13 +52,7 @@ fn run_three_tiers(
     let oracle = interp.run_session_treewalk(unit, requests);
     let compiled = CompiledUnit::compile(unit);
     let mut scratch = InterpScratch::new();
-    let slotwalk = interp.run_compiled_slotwalk(&compiled, requests, &mut scratch);
     let vm = interp.run_compiled(&compiled, requests, &mut scratch);
-    assert_eq!(
-        slotwalk, oracle,
-        "slotwalk diverged from treewalk oracle on unit {}",
-        unit.id
-    );
     assert_eq!(
         vm, oracle,
         "bytecode VM diverged from treewalk oracle on unit {}",
@@ -117,10 +108,10 @@ fn generated_corpora_agree_across_tiers() {
             // them (second-order flows hit the shared store).
             let attack = attack_request(unit);
             let benign = benign_request(unit);
-            let _ = run_three_tiers(&interp, unit, std::slice::from_ref(&attack));
-            let _ = run_three_tiers(&interp, unit, std::slice::from_ref(&benign));
-            let _ = run_three_tiers(&interp, unit, &[Request::new()]);
-            let _ = run_three_tiers(&interp, unit, &[benign.clone(), attack.clone()]);
+            let _ = run_two_tiers(&interp, unit, std::slice::from_ref(&attack));
+            let _ = run_two_tiers(&interp, unit, std::slice::from_ref(&benign));
+            let _ = run_two_tiers(&interp, unit, &[Request::new()]);
+            let _ = run_two_tiers(&interp, unit, &[benign.clone(), attack.clone()]);
         }
     }
 }
@@ -138,7 +129,7 @@ fn generated_corpora_agree_under_tight_fuel() {
         let attack = attack_request(unit);
         for budget in [1usize, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144] {
             let interp = Interpreter::with_limits(budget, 256, 32);
-            let _ = run_three_tiers(&interp, unit, std::slice::from_ref(&attack));
+            let _ = run_two_tiers(&interp, unit, std::slice::from_ref(&attack));
         }
     }
 }
@@ -314,7 +305,7 @@ fn any_request() -> impl Strategy<Value = Request> {
 
 proptest! {
     /// The core property: arbitrary (frequently malformed, frequently
-    /// runaway) programs behave identically on all three tiers under a
+    /// runaway) programs behave identically on both tiers under a
     /// tight interpreter so every error kind is reachable quickly.
     #[test]
     fn arbitrary_programs_agree_across_tiers(
@@ -326,7 +317,7 @@ proptest! {
         // make LoopLimit-free semantics (bounded loops) and CallDepth both
         // reachable from small generated programs.
         let interp = Interpreter::with_limits(budget, 8, 4);
-        let _ = run_three_tiers(&interp, &unit, &requests);
+        let _ = run_two_tiers(&interp, &unit, &requests);
     }
 }
 
@@ -534,7 +525,7 @@ fn full_surface_unit_agrees_and_observes_every_sink() {
         .with_param("id", "1 OR 1=1")
         .with_header("user-agent", "<script>")
         .with_cookie("session", "$(rm)");
-    let obs = run_three_tiers(&Interpreter::default(), &unit, &[request])
+    let obs = run_two_tiers(&Interpreter::default(), &unit, &[request])
         .expect("full-surface unit runs clean");
     assert_eq!(obs.len(), 7, "all seven sinks execute: {obs:#?}");
     assert!(obs[0].tainted, "unsanitized sql flow must stay tainted");
@@ -552,8 +543,8 @@ fn full_surface_unit_agrees_and_observes_every_sink() {
 // ---------------------------------------------------------------------------
 
 /// A unit whose broken call (undefined callee or wrong arity) sits behind
-/// `cond`; with `cond` false the unit must run clean on all tiers, with
-/// `cond` true it must fail identically on all tiers.
+/// `cond`; with `cond` false the unit must run clean on both tiers, with
+/// `cond` true it must fail identically on both tiers.
 fn gated_broken_call(cond: Expr, call: Stmt) -> Unit {
     Unit {
         id: 0,
@@ -608,21 +599,21 @@ fn dead_guard_defers_undefined_function_and_arity_checks() {
     for cond in [Expr::Bool(false), runtime_false.clone()] {
         for call in [undefined.clone(), bad_arity.clone()] {
             let unit = gated_broken_call(cond.clone(), call);
-            let obs = run_three_tiers(&interp, &unit, &[Request::new()])
+            let obs = run_two_tiers(&interp, &unit, &[Request::new()])
                 .expect("guarded broken call must stay latent");
             assert_eq!(obs.len(), 1, "the sink after the dead guard runs");
         }
     }
-    // Reachable versions must fail identically (run_three_tiers asserts
+    // Reachable versions must fail identically (run_two_tiers asserts
     // the tiers agree; here we also pin *which* error).
     let unit = gated_broken_call(Expr::Bool(true), undefined);
     assert_eq!(
-        run_three_tiers(&interp, &unit, &[Request::new()]),
+        run_two_tiers(&interp, &unit, &[Request::new()]),
         Err(ExecError::UndefinedFunction("no_such_helper".into()))
     );
     let unit = gated_broken_call(Expr::Bool(true), bad_arity);
     assert_eq!(
-        run_three_tiers(&interp, &unit, &[Request::new()]),
+        run_two_tiers(&interp, &unit, &[Request::new()]),
         Err(ExecError::ArityMismatch {
             func: "helper".into(),
             expected: 1,
@@ -657,7 +648,7 @@ fn fuel_exhaustion_fires_identically_at_every_budget() {
     assert!(full_cost > 40, "the sweep should cover a non-trivial range");
     for budget in 1..=full_cost {
         let interp = Interpreter::with_limits(budget, 256, 32);
-        let outcome = run_three_tiers(&interp, &unit, std::slice::from_ref(&request));
+        let outcome = run_two_tiers(&interp, &unit, std::slice::from_ref(&request));
         // Below the full cost every tier must report StepLimit — never a
         // different error, never a truncated success.
         if budget < full_cost {
@@ -679,7 +670,7 @@ fn loop_and_depth_limits_fire_identically() {
         .with_cookie("session", "s");
     for max_loop_iters in 1..=6 {
         let interp = Interpreter::with_limits(100_000, max_loop_iters, 32);
-        let _ = run_three_tiers(&interp, &unit, std::slice::from_ref(&request));
+        let _ = run_two_tiers(&interp, &unit, std::slice::from_ref(&request));
     }
     // Call-depth sweep on self-recursion: `deep()` calls itself forever,
     // so every tier must report CallDepth at the same depth.
@@ -706,12 +697,12 @@ fn loop_and_depth_limits_fire_identically() {
     };
     for max_depth in 1..=8 {
         let interp = Interpreter::with_limits(100_000, 256, max_depth);
-        let outcome = run_three_tiers(&interp, &recursive, &[Request::new()]);
+        let outcome = run_two_tiers(&interp, &recursive, &[Request::new()]);
         assert_eq!(outcome, Err(ExecError::CallDepth), "depth {max_depth}");
     }
     // And under the default interpreter too.
     assert_eq!(
-        run_three_tiers(&interp_default, &recursive, &[Request::new()]),
+        run_two_tiers(&interp_default, &recursive, &[Request::new()]),
         Err(ExecError::CallDepth)
     );
 }
@@ -748,34 +739,22 @@ fn failing_sessions_do_not_leak_pooled_frames() {
     let compiled = CompiledUnit::compile(&failing);
     let interp = Interpreter::default();
     let request = [Request::new()];
-    type Runner = fn(
-        &Interpreter,
-        &CompiledUnit,
-        &[Request],
-        &mut InterpScratch,
-    ) -> Result<Vec<vdbench_corpus::SinkObservation>, ExecError>;
-    let tiers: [(&str, Runner); 2] = [
-        ("vm", |i, u, r, s| i.run_compiled(u, r, s)),
-        ("slotwalk", |i, u, r, s| i.run_compiled_slotwalk(u, r, s)),
-    ];
-    for (name, run) in tiers {
-        let mut scratch = InterpScratch::new();
-        // Warm the pool once, then the pooled-frame count must be stable
-        // across repeated failing sessions: frames flow pool -> live ->
-        // pool even when the session errors.
-        let first = run(&interp, &compiled, &request, &mut scratch);
-        assert!(matches!(first, Err(ExecError::UndefinedVariable(_))));
-        let warmed = scratch.pooled_frames();
-        assert!(warmed >= 2, "{name}: handler + helper frames pooled");
-        for round in 0..50 {
-            let outcome = run(&interp, &compiled, &request, &mut scratch);
-            assert!(matches!(outcome, Err(ExecError::UndefinedVariable(_))));
-            assert_eq!(
-                scratch.pooled_frames(),
-                warmed,
-                "{name}: pool must not grow on failing round {round}"
-            );
-        }
+    let mut scratch = InterpScratch::new();
+    // Warm the pool once, then the pooled-frame count must be stable
+    // across repeated failing sessions: frames flow pool -> live -> pool
+    // even when the session errors.
+    let first = interp.run_compiled(&compiled, &request, &mut scratch);
+    assert!(matches!(first, Err(ExecError::UndefinedVariable(_))));
+    let warmed = scratch.pooled_frames();
+    assert!(warmed >= 2, "handler + helper frames pooled");
+    for round in 0..50 {
+        let outcome = interp.run_compiled(&compiled, &request, &mut scratch);
+        assert!(matches!(outcome, Err(ExecError::UndefinedVariable(_))));
+        assert_eq!(
+            scratch.pooled_frames(),
+            warmed,
+            "pool must not grow on failing round {round}"
+        );
     }
     // StepLimit deep in a recursive call tower is the worst case: many
     // live frames unwind at once.
@@ -823,19 +802,17 @@ fn failing_sessions_do_not_leak_pooled_frames() {
     };
     let compiled = CompiledUnit::compile(&tower);
     let interp = Interpreter::with_limits(500, 256, 32);
-    for (name, run) in tiers {
-        let mut scratch = InterpScratch::new();
-        let first = run(&interp, &compiled, &request, &mut scratch);
-        assert_eq!(first, Err(ExecError::StepLimit), "{name}");
-        let warmed = scratch.pooled_frames();
-        for round in 0..20 {
-            let outcome = run(&interp, &compiled, &request, &mut scratch);
-            assert_eq!(outcome, Err(ExecError::StepLimit), "{name}");
-            assert_eq!(
-                scratch.pooled_frames(),
-                warmed,
-                "{name}: pool must not grow on StepLimit round {round}"
-            );
-        }
+    let mut scratch = InterpScratch::new();
+    let first = interp.run_compiled(&compiled, &request, &mut scratch);
+    assert_eq!(first, Err(ExecError::StepLimit));
+    let warmed = scratch.pooled_frames();
+    for round in 0..20 {
+        let outcome = interp.run_compiled(&compiled, &request, &mut scratch);
+        assert_eq!(outcome, Err(ExecError::StepLimit));
+        assert_eq!(
+            scratch.pooled_frames(),
+            warmed,
+            "pool must not grow on StepLimit round {round}"
+        );
     }
 }

@@ -29,7 +29,7 @@ use vdbench_telemetry::registry::Counter;
 /// Always-live counter of attack sessions that collapsed onto an earlier
 /// identical session and were therefore never re-executed
 /// (`scan.sessions.deduped` in the telemetry registry — surfaces in
-/// `run_all --timings` and `BENCH_campaign.json` for free).
+/// `vdbench campaign --timings` and `BENCH_campaign.json` for free).
 fn deduped_counter() -> &'static Arc<Counter> {
     static COUNTER: OnceLock<Arc<Counter>> = OnceLock::new();
     COUNTER.get_or_init(|| vdbench_telemetry::registry::global().counter("scan.sessions.deduped"))

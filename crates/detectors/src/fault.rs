@@ -128,7 +128,7 @@ impl FaultRates {
     }
 }
 
-/// Named fault profiles exposed on the `run_all` command line.
+/// Named fault profiles exposed on the `vdbench campaign` command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FaultProfile {
     /// No faults: the proxy is a transparent pass-through and the

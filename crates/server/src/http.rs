@@ -16,6 +16,11 @@ pub const MAX_BODY_BYTES: usize = 64 * 1024;
 /// Upper bound on header count per request.
 const MAX_HEADERS: usize = 64;
 
+/// Upper bound on one request or header line, terminator included: a
+/// client that sends bytes without a newline gets a 400, not an ever
+/// growing buffer.
+pub const MAX_LINE_BYTES: usize = 8 * 1024;
+
 /// One parsed request off the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpRequest {
@@ -85,15 +90,25 @@ fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
-/// `read_line` that retries read-timeouts once any byte of the request
-/// has arrived (a request split across TCP segments must not be dropped
-/// by an idle-poll deadline). A timeout on a *completely idle* line —
-/// `line` still empty — propagates so the caller can poll for shutdown.
-fn read_line_patient(reader: &mut BufReader<TcpStream>, line: &mut String) -> io::Result<usize> {
+/// Reads one line of at most [`MAX_LINE_BYTES`] into `line` and returns
+/// its length; a longer line is malformed. Read-timeouts retry once any
+/// byte of the request has arrived (a request split across TCP segments
+/// must not be dropped by an idle-poll deadline). With `propagate_idle`,
+/// a timeout on a *completely idle* line — `line` still empty —
+/// propagates so the caller can poll for shutdown.
+fn read_line_bounded(
+    reader: &mut BufReader<TcpStream>,
+    line: &mut String,
+    propagate_idle: bool,
+) -> io::Result<usize> {
     loop {
-        match reader.read_line(line) {
-            Ok(n) => return Ok(n),
-            Err(e) if is_timeout(&e) && !line.is_empty() => {}
+        let budget = MAX_LINE_BYTES.saturating_sub(line.len()) as u64;
+        match reader.by_ref().take(budget).read_line(line) {
+            Ok(_) if line.len() >= MAX_LINE_BYTES && !line.ends_with('\n') => {
+                return Err(malformed("line too long"))
+            }
+            Ok(_) => return Ok(line.len()),
+            Err(e) if is_timeout(&e) && !(propagate_idle && line.is_empty()) => {}
             Err(e) => return Err(e),
         }
     }
@@ -105,7 +120,7 @@ fn read_line_patient(reader: &mut BufReader<TcpStream>, line: &mut String) -> io
 /// byte of a next request yet) and other errors propagate untouched.
 pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<HttpRequest>> {
     let mut line = String::new();
-    if read_line_patient(reader, &mut line)? == 0 {
+    if read_line_bounded(reader, &mut line, true)? == 0 {
         return Ok(None);
     }
     let mut parts = line.split_whitespace();
@@ -120,7 +135,7 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Http
     let mut keep_alive = true;
     for _ in 0..MAX_HEADERS {
         let mut header = String::new();
-        if read_header_line(reader, &mut header)? == 0 {
+        if read_line_bounded(reader, &mut header, false)? == 0 {
             return Err(malformed("connection closed mid-headers"));
         }
         let header = header.trim_end();
@@ -147,18 +162,6 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Http
         }
     }
     Err(malformed("too many headers"))
-}
-
-/// `read_line` for headers and body framing: by this point the request
-/// has started, so read-timeouts always retry.
-fn read_header_line(reader: &mut BufReader<TcpStream>, line: &mut String) -> io::Result<usize> {
-    loop {
-        match reader.read_line(line) {
-            Ok(n) => return Ok(n),
-            Err(e) if is_timeout(&e) => {}
-            Err(e) => return Err(e),
-        }
-    }
 }
 
 fn read_body(reader: &mut BufReader<TcpStream>, len: usize) -> io::Result<String> {

@@ -1,7 +1,7 @@
 //! `vdbench serve` — a concurrent campaign service over the
 //! content-addressed blob store.
 //!
-//! The batch pipeline (`run_all`) and this service share one source of
+//! The batch pipeline (`vdbench campaign`) and this service share one source of
 //! truth: the disk blob store introduced with the persistent cache. The
 //! service is a **stateless compute tier** in front of it — a std-TCP
 //! HTTP/1.1 subset ([`http`]) that canonicalizes each JSON request into

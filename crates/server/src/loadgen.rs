@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use vdbench_bench::serve_record::{SeedPassRecord, ServeRecord};
 
-use crate::request::{artifact_names, TOOL_NAMES};
+use crate::request::TOOL_NAMES;
 use crate::service::StatsResponse;
 
 /// Load-generator tuning.
@@ -44,7 +44,7 @@ pub struct LoadgenConfig {
     pub pool_scans: usize,
     /// Whether campaign artifacts join the pool (cold-seeding them runs
     /// the full batch renderers — substantial; off by default so a smoke
-    /// run stays fast, on when warming a cache `run_all` will share).
+    /// run stays fast, on when warming a cache `vdbench campaign` will share).
     pub artifacts: bool,
     /// Where to write the JSON record (`None` = don't write).
     pub out: Option<String>,
@@ -113,7 +113,7 @@ fn build_pool(cfg: &LoadgenConfig) -> Vec<PoolEntry> {
         });
     }
     if cfg.artifacts {
-        for name in artifact_names() {
+        for (name, _) in vdbench_bench::ARTIFACTS {
             pool.push(PoolEntry {
                 path: "/v1/campaign",
                 body: format!("{{\"artifact\":\"{name}\"}}"),

@@ -13,11 +13,11 @@
 //!
 //! Campaign-artifact requests short-circuit the canonical hash: their key
 //! is [`vdbench_core::artifact_key`], i.e. *exactly* the key the batch
-//! `run_all` files its rendered artifacts under — a warm service response
+//! `vdbench campaign` files its rendered artifacts under — a warm service response
 //! is byte-identical to the batch transcript because it is the same blob.
 
 use serde::{Deserialize, Serialize};
-use vdbench_bench::{figures, tables, EXPERIMENT_SEED};
+use vdbench_bench::{ARTIFACTS, EXPERIMENT_SEED};
 use vdbench_core::{Scenario, ScenarioId};
 use vdbench_corpus::{Corpus, CorpusBuilder};
 use vdbench_detectors::{Detector, DynamicScanner, PatternScanner, TaintAnalyzer};
@@ -39,38 +39,6 @@ pub const ANON_CLIENT: &str = "anon";
 /// Fallback experiment seed for scan and case-study requests (the CLI
 /// default, so `vdbench scan`'s output matches a default-seed request).
 pub const DEFAULT_SEED: u64 = 2015;
-
-/// The campaign artifacts the service can render, in `run_all` order.
-pub fn artifact_names() -> [&'static str; 16] {
-    [
-        "preamble", "table1", "table2", "table3", "table4", "table5", "table6", "table7", "table8",
-        "table9", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
-    ]
-}
-
-/// The renderer behind one campaign artifact — the same functions the
-/// batch `run_all` binary fans out over the worker pool.
-fn artifact_renderer(name: &str) -> Option<fn() -> String> {
-    Some(match name {
-        "preamble" => tables::preamble,
-        "table1" => tables::table1,
-        "table2" => tables::table2,
-        "table3" => tables::table3,
-        "table4" => tables::table4,
-        "table5" => tables::table5,
-        "table6" => tables::table6,
-        "table7" => tables::table7,
-        "table8" => tables::table8,
-        "table9" => tables::table9,
-        "fig1" => figures::fig1,
-        "fig2" => figures::fig2,
-        "fig3" => figures::fig3,
-        "fig4" => figures::fig4,
-        "fig5" => figures::fig5,
-        "fig6" => figures::fig6,
-        _ => return None,
-    })
-}
 
 /// The scan tools addressable over the API, with their wire names (the
 /// same names the `vdbench scan --tool` flag accepts).
@@ -133,7 +101,7 @@ struct CaseStudyWire {
 /// A validated `POST /v1/campaign` request: one batch artifact by name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignRequest {
-    /// Artifact name (one of [`artifact_names`]).
+    /// Artifact name (one of [`vdbench_bench::ARTIFACTS`]).
     pub artifact: String,
     /// Client identity for budget accounting.
     pub client: String,
@@ -215,10 +183,11 @@ impl ApiRequest {
             "/v1/campaign" => {
                 let wire: CampaignWire = serde_json::from_str(body).map_err(|e| e.to_string())?;
                 let artifact = wire.artifact.ok_or("campaign request needs \"artifact\"")?;
-                if artifact_renderer(&artifact).is_none() {
+                if vdbench_bench::artifact(&artifact).is_none() {
+                    let names: Vec<&str> = ARTIFACTS.iter().map(|(n, _)| *n).collect();
                     return Err(format!(
                         "unknown artifact `{artifact}` (one of: {})",
-                        artifact_names().join(", ")
+                        names.join(", ")
                     ));
                 }
                 Ok(ApiRequest::Campaign(CampaignRequest {
@@ -320,7 +289,7 @@ impl ApiRequest {
     pub fn cache_kind(&self) -> &'static str {
         match self {
             // The batch artifact tier: same kind, same key, same bytes as
-            // `run_all`.
+            // `vdbench campaign`.
             ApiRequest::Campaign(_) => "art",
             ApiRequest::Scan(_) => "srv-scan",
             ApiRequest::CaseStudy(_) => "srv-case",
@@ -371,7 +340,7 @@ impl ApiRequest {
     pub fn compute(&self) -> Result<String, String> {
         match self {
             ApiRequest::Campaign(r) => {
-                let render = artifact_renderer(&r.artifact).ok_or("artifact vanished")?;
+                let render = vdbench_bench::artifact(&r.artifact).ok_or("artifact vanished")?;
                 Ok(vdbench_core::cached_artifact(
                     &r.artifact,
                     EXPERIMENT_SEED,

@@ -13,7 +13,9 @@
 //!   atomic publication, not server memory;
 //! * a thundering herd on one cold key computes exactly once;
 //! * a saturated server sheds cold work with 429 but keeps serving warm;
-//! * per-client step budgets deny with 429 and detector-style accounting.
+//! * per-client step budgets deny with 429 and detector-style accounting;
+//! * a request line that never ends is answered with 400, not buffered
+//!   without bound.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -146,6 +148,25 @@ fn health_stats_and_error_statuses() {
 }
 
 #[test]
+fn endless_request_line_is_rejected_with_400() {
+    let _guard = lock();
+    let store = ScratchStore::open("endless-line");
+    let server = start(server_config()).expect("bind");
+    // 64 KiB without a newline, the socket left open: an unbounded reader
+    // would wait for the line to end and the read below would time out.
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .expect("read timeout");
+    stream.write_all(&[b'A'; 64 * 1024]).expect("send");
+    let (status, body) = read_response(stream);
+    assert_eq!(status, 400);
+    assert!(body.contains("line too long"), "{body}");
+    server.shutdown();
+    drop(store);
+}
+
+#[test]
 fn campaign_response_is_byte_identical_to_the_batch_renderer() {
     let _guard = lock();
     let store = ScratchStore::open("campaign");
@@ -159,8 +180,8 @@ fn campaign_response_is_byte_identical_to_the_batch_renderer() {
     assert_eq!(body, expected, "service must serve the batch bytes");
     assert_eq!(counter("server.cold_misses"), cold_before + 1);
 
-    // The response went into the *batch* artifact key space: run_all
-    // would now replay it, and the service serves it warm.
+    // The response went into the *batch* artifact key space: `vdbench
+    // campaign` would now replay it, and the service serves it warm.
     let req = ApiRequest::parse("/v1/campaign", r#"{"artifact":"preamble"}"#).expect("parse");
     assert_eq!(
         vdbench_core::raw_blob_get(req.cache_kind(), req.cache_key()).as_deref(),

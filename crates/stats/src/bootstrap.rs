@@ -37,58 +37,6 @@ fn record_replicates(n: usize) {
     .record(n as u64);
 }
 
-/// Bumps the `bootstrap.scratch.reuses` counter by `n` — the number of
-/// replicates a thread evaluated by *reusing* its per-thread scratch buffer
-/// instead of allocating a fresh resample `Vec` (i.e. every replicate after
-/// the first that thread evaluated in the call). The counter is the observable proof
-/// that the streaming kernels actually avoid per-replicate allocation; the
-/// kernel bench and the scratch-reuse regression test read it back.
-fn record_scratch_reuses(n: u64) {
-    use std::sync::OnceLock;
-    use vdbench_telemetry::registry::Counter;
-    static COUNTER: OnceLock<std::sync::Arc<Counter>> = OnceLock::new();
-    if n > 0 {
-        COUNTER
-            .get_or_init(|| {
-                vdbench_telemetry::registry::global().counter("bootstrap.scratch.reuses")
-            })
-            .add(n);
-    }
-}
-
-/// Per-thread resampling scratch: a reusable buffer plus the running count
-/// of reuses, flushed to the telemetry counter when the thread's share of
-/// the call ends.
-struct ReplicateScratch<T> {
-    buf: Vec<T>,
-    reuses: u64,
-}
-
-impl<T> ReplicateScratch<T> {
-    fn with_capacity(n: usize) -> Self {
-        ReplicateScratch {
-            buf: Vec::with_capacity(n),
-            reuses: 0,
-        }
-    }
-
-    /// Clears the buffer for the next replicate, counting a reuse whenever
-    /// the buffer had already been filled once.
-    fn begin_replicate(&mut self) -> &mut Vec<T> {
-        if !self.buf.is_empty() {
-            self.reuses += 1;
-        }
-        self.buf.clear();
-        &mut self.buf
-    }
-}
-
-impl<T> Drop for ReplicateScratch<T> {
-    fn drop(&mut self) {
-        record_scratch_reuses(self.reuses);
-    }
-}
-
 /// A percentile bootstrap confidence interval.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BootstrapCi {
@@ -150,14 +98,8 @@ impl Bootstrap {
     /// Draws the raw replicate distribution of `statistic` over resamples of
     /// `data` (with replacement, same size).
     ///
-    /// Replicate `i` streams its resample into a **per-thread scratch
-    /// buffer** (`map_init`): each participating thread allocates one buffer
-    /// for all the replicates it claims and clears/refills it per replicate, instead of materializing a
-    /// fresh `Vec` per replicate. Because replicate `i`'s RNG depends only
-    /// on `(base, i)` and the scratch carries no state between items, the
-    /// output is bit-identical to the retained materializing oracle
-    /// [`Self::replicate_distribution_materialized`] at any thread count
-    /// (proptested).
+    /// Replicate `i` builds its resample from its own `(base, i)` stream,
+    /// so the output is bit-identical at any thread count (proptested).
     ///
     /// # Errors
     ///
@@ -182,59 +124,12 @@ impl Bootstrap {
             n = data.len()
         );
         record_replicates(self.replicates);
-        let n = data.len();
-        let base = rng.next_u64();
-        let out: Vec<f64> = (0..self.replicates)
-            .into_par_iter()
-            .map_init(
-                || ReplicateScratch::<T>::with_capacity(n),
-                |state, i| {
-                    let mut r = SeededRng::new(derive_seed(base, i as u64));
-                    let scratch = state.begin_replicate();
-                    for _ in 0..n {
-                        scratch.push(data[r.index(n)].clone());
-                    }
-                    statistic(scratch)
-                },
-            )
-            .collect();
-        Ok(out)
-    }
-
-    /// The PR-1 materializing replicate loop, retained verbatim as the
-    /// equivalence oracle for [`Self::replicate_distribution`]: one fresh
-    /// `Vec` per replicate, identical RNG streams. The proptest suite
-    /// asserts the streaming path matches this bit-for-bit, and the kernel
-    /// bench reports old-vs-new throughput against it. Not used by any
-    /// production path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::EmptyInput`] when `data` is empty.
-    pub fn replicate_distribution_materialized<T, F>(
-        &self,
-        data: &[T],
-        statistic: F,
-        rng: &mut SeededRng,
-    ) -> Result<Vec<f64>>
-    where
-        T: Clone + Sync,
-        F: Fn(&[T]) -> f64 + Sync,
-    {
-        if data.is_empty() {
-            return Err(StatsError::EmptyInput);
-        }
-        let n = data.len();
         let base = rng.next_u64();
         let out: Vec<f64> = (0..self.replicates)
             .into_par_iter()
             .map(|i| {
                 let mut r = SeededRng::new(derive_seed(base, i as u64));
-                let mut scratch: Vec<T> = Vec::with_capacity(n);
-                for _ in 0..n {
-                    scratch.push(data[r.index(n)].clone());
-                }
-                statistic(&scratch)
+                statistic(&resample(data, &mut r))
             })
             .collect();
         Ok(out)
@@ -333,26 +228,12 @@ impl Bootstrap {
         let base = rng.next_u64();
         let mut reps: Vec<f64> = (0..self.replicates)
             .into_par_iter()
-            .map_init(
-                || {
-                    (
-                        ReplicateScratch::<T>::with_capacity(sample_a.len()),
-                        ReplicateScratch::<T>::with_capacity(sample_b.len()),
-                    )
-                },
-                |(state_a, state_b), i| {
-                    let mut r = SeededRng::new(derive_seed(base, i as u64));
-                    let a = state_a.begin_replicate();
-                    for _ in 0..sample_a.len() {
-                        a.push(sample_a[r.index(sample_a.len())].clone());
-                    }
-                    let b = state_b.begin_replicate();
-                    for _ in 0..sample_b.len() {
-                        b.push(sample_b[r.index(sample_b.len())].clone());
-                    }
-                    statistic(a, b)
-                },
-            )
+            .map(|i| {
+                let mut r = SeededRng::new(derive_seed(base, i as u64));
+                let a = resample(sample_a, &mut r);
+                let b = resample(sample_b, &mut r);
+                statistic(&a, &b)
+            })
             .collect();
         let mean = reps.iter().sum::<f64>() / reps.len() as f64;
         let var = reps.iter().map(|r| (r - mean).powi(2)).sum::<f64>()
@@ -399,31 +280,15 @@ impl Bootstrap {
         );
         record_replicates(self.replicates);
         let base = rng.next_u64();
-        // Two per-worker scratch buffers (one per sample), refilled per
-        // replicate in the same draw order as the old materializing loop:
-        // resample A fully, then resample B, from one replicate stream.
+        // Resample A fully, then resample B, from one replicate stream.
         let wins: usize = (0..self.replicates)
             .into_par_iter()
-            .map_init(
-                || {
-                    (
-                        ReplicateScratch::<T>::with_capacity(sample_a.len()),
-                        ReplicateScratch::<T>::with_capacity(sample_b.len()),
-                    )
-                },
-                |(state_a, state_b), i| {
-                    let mut r = SeededRng::new(derive_seed(base, i as u64));
-                    let a = state_a.begin_replicate();
-                    for _ in 0..sample_a.len() {
-                        a.push(sample_a[r.index(sample_a.len())].clone());
-                    }
-                    let b = state_b.begin_replicate();
-                    for _ in 0..sample_b.len() {
-                        b.push(sample_b[r.index(sample_b.len())].clone());
-                    }
-                    usize::from(statistic(a) > statistic(b))
-                },
-            )
+            .map(|i| {
+                let mut r = SeededRng::new(derive_seed(base, i as u64));
+                let a = resample(sample_a, &mut r);
+                let b = resample(sample_b, &mut r);
+                usize::from(statistic(&a) > statistic(&b))
+            })
             .collect::<Vec<usize>>()
             .into_iter()
             .sum();
@@ -467,32 +332,27 @@ impl Bootstrap {
         record_replicates(self.replicates);
         let k = ((data.len() as f64 * fraction).round() as usize).clamp(1, data.len());
         let base = rng.next_u64();
-        // Per-worker scratch: one index buffer (filled by the `_into`
-        // sampling form, which consumes exactly the same generator draws as
-        // the allocating form) and one value buffer, both reused across the
-        // worker's replicates.
         let out: Vec<f64> = (0..self.replicates)
             .into_par_iter()
-            .map_init(
-                || {
-                    (
-                        Vec::<usize>::with_capacity(data.len()),
-                        ReplicateScratch::<T>::with_capacity(k),
-                    )
-                },
-                |(idx, state), i| {
-                    let mut r = SeededRng::new(derive_seed(base, i as u64));
-                    r.sample_without_replacement_into(data.len(), k, idx);
-                    let scratch = state.begin_replicate();
-                    for &j in idx.iter() {
-                        scratch.push(data[j].clone());
-                    }
-                    statistic(scratch)
-                },
-            )
+            .map(|i| {
+                let mut r = SeededRng::new(derive_seed(base, i as u64));
+                let subsample: Vec<T> = r
+                    .sample_without_replacement(data.len(), k)
+                    .into_iter()
+                    .map(|j| data[j].clone())
+                    .collect();
+                statistic(&subsample)
+            })
             .collect();
         Ok(out)
     }
+}
+
+/// One resample of `data` with replacement (same size), drawn from `r`.
+fn resample<T: Clone>(data: &[T], r: &mut SeededRng) -> Vec<T> {
+    (0..data.len())
+        .map(|_| data[r.index(data.len())].clone())
+        .collect()
 }
 
 impl Default for Bootstrap {
@@ -677,44 +537,6 @@ mod tests {
         let serial_bits: Vec<u64> = serial.iter().map(|v| v.to_bits()).collect();
         let parallel_bits: Vec<u64> = parallel.iter().map(|v| v.to_bits()).collect();
         assert_eq!(serial_bits, parallel_bits);
-    }
-
-    #[test]
-    fn streaming_matches_materialized_oracle_bitwise() {
-        let data: Vec<f64> = (0..90).map(|i| ((i * 13) % 23) as f64 * 0.5).collect();
-        let b = Bootstrap::new(301);
-        for threads in ["1", "6"] {
-            std::env::set_var("RAYON_NUM_THREADS", threads);
-            let mut r1 = SeededRng::new(0xFEED);
-            let mut r2 = SeededRng::new(0xFEED);
-            let fast = b.replicate_distribution(&data, mean_stat, &mut r1).unwrap();
-            let oracle = b
-                .replicate_distribution_materialized(&data, mean_stat, &mut r2)
-                .unwrap();
-            let fast_bits: Vec<u64> = fast.iter().map(|v| v.to_bits()).collect();
-            let oracle_bits: Vec<u64> = oracle.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(fast_bits, oracle_bits, "threads={threads}");
-        }
-        std::env::remove_var("RAYON_NUM_THREADS");
-    }
-
-    #[test]
-    fn scratch_reuse_counter_advances() {
-        let counter = vdbench_telemetry::registry::global().counter("bootstrap.scratch.reuses");
-        let before = counter.get();
-        // Serial: one worker, 64 replicates → 63 reuses recorded at least.
-        std::env::set_var("RAYON_NUM_THREADS", "1");
-        let data: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        let mut rng = SeededRng::new(11);
-        let _ = Bootstrap::new(64)
-            .replicate_distribution(&data, mean_stat, &mut rng)
-            .unwrap();
-        std::env::remove_var("RAYON_NUM_THREADS");
-        assert!(
-            counter.get() >= before + 63,
-            "before={before} after={}",
-            counter.get()
-        );
     }
 
     #[test]

@@ -203,30 +203,14 @@ impl SeededRng {
     ///
     /// Panics if `k > n`.
     pub fn sample_without_replacement(&mut self, n: usize, k: usize) -> Vec<usize> {
-        let mut idx = Vec::with_capacity(n);
-        self.sample_without_replacement_into(n, k, &mut idx);
-        idx
-    }
-
-    /// [`Self::sample_without_replacement`] into a caller-provided buffer —
-    /// the hot-loop form used by the bootstrap's subsample kernel, which
-    /// draws one index set per replicate and would otherwise allocate a
-    /// fresh `Vec` each time. Consumes **exactly** the same generator draws
-    /// as the allocating form, so the two are interchangeable without
-    /// perturbing downstream streams.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k > n`.
-    pub fn sample_without_replacement_into(&mut self, n: usize, k: usize, idx: &mut Vec<usize>) {
         assert!(k <= n, "cannot sample {k} from {n} without replacement");
-        idx.clear();
-        idx.extend(0..n);
+        let mut idx: Vec<usize> = (0..n).collect();
         for i in 0..k {
             let j = self.range(i, n.max(i + 1));
             idx.swap(i, j);
         }
         idx.truncate(k);
+        idx
     }
 
     /// Samples `k` indices from `0..n` **with** replacement (the bootstrap
@@ -408,20 +392,6 @@ mod tests {
         let mut idx = rng.sample_without_replacement(8, 8);
         idx.sort_unstable();
         assert_eq!(idx, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sampling_into_matches_allocating_form() {
-        let mut a = SeededRng::new(17);
-        let mut b = SeededRng::new(17);
-        let mut buf = Vec::new();
-        for (n, k) in [(10, 3), (8, 8), (5, 1), (4, 0)] {
-            let owned = a.sample_without_replacement(n, k);
-            b.sample_without_replacement_into(n, k, &mut buf);
-            assert_eq!(owned, buf, "n={n} k={k}");
-        }
-        // Generators stay in lockstep afterwards.
-        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]

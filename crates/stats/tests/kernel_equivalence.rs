@@ -6,10 +6,11 @@
 //!
 //! * Knight's O(n log n) Kendall τ-b vs the O(n²) pair scan, on heavily
 //!   tied data (small integer domains) including `-0.0` and sign mixes;
-//! * the streaming per-worker-scratch bootstrap replicates vs the
-//!   materializing loop, for mean / precision-style / composite
-//!   statistics, at one worker **and** at many workers;
 //! * `select_nth`-based quantiles vs full-sort quantiles.
+//!
+//! It also pins the bootstrap's schedule independence: all four
+//! resamplers return bit-identical output at one worker **and** at many
+//! workers, for mean / precision-style / composite statistics.
 //!
 //! Thread-count cases serialize on a process lock because
 //! `RAYON_NUM_THREADS` is process-global (same idiom as the determinism
@@ -102,43 +103,51 @@ fn statistics() -> [NamedStat; 3] {
     ]
 }
 
+/// Every resampler's output for one statistic, as raw bits so the
+/// comparison is exact (`NaN`-safe, `-0.0`-sensitive).
+fn resampler_bits(vals: &[f64], seed: u64, stat: fn(&[f64]) -> f64) -> Vec<u64> {
+    let boot = Bootstrap::new(200);
+    let (a, b) = vals.split_at(vals.len() / 2);
+    let mut rng = SeededRng::new(seed);
+    let mut bits: Vec<u64> = boot
+        .replicate_distribution(vals, stat, &mut rng)
+        .expect("non-empty input")
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+    let diff = |x: &[f64], y: &[f64]| stat(x) - stat(y);
+    let ci = boot
+        .two_sample_ci(a, b, 0.9, diff, &mut rng)
+        .expect("non-empty samples");
+    bits.extend([ci.lower, ci.upper, ci.point, ci.std_error].map(f64::to_bits));
+    let p = boot
+        .superiority_probability(a, b, stat, &mut rng)
+        .expect("non-empty samples");
+    bits.push(p.to_bits());
+    let sub = boot
+        .subsample_distribution(vals, 0.6, stat, &mut rng)
+        .expect("valid fraction");
+    bits.extend(sub.iter().map(|v| v.to_bits()));
+    bits
+}
+
 proptest! {
-    // Fewer cases: each runs 2 × 3 × 200 replicates under two pool sizes.
+    // Fewer cases: each runs 2 × 3 × 4 resamplers × 200 replicates.
     #![proptest_config(ProptestConfig::with_cases(16))]
     #[test]
-    fn streaming_replicates_match_materialized_at_any_thread_count(
-        data in proptest::collection::vec(0i64..100, 1..50),
+    fn resamplers_are_bit_identical_at_any_thread_count(
+        data in proptest::collection::vec(0i64..100, 2..50),
         seed in 0u64..1_000_000,
     ) {
         let _guard = THREAD_ENV.lock().expect("thread-env lock poisoned");
         let vals: Vec<f64> = data.iter().map(|&v| v as f64 / 100.0).collect();
-        let boot = Bootstrap::new(200);
-        for threads in ["1", "6"] {
-            std::env::set_var("RAYON_NUM_THREADS", threads);
-            let mut outcomes = Vec::new();
-            for (name, stat) in statistics() {
-                let mut rng_a = SeededRng::new(seed);
-                let mut rng_b = SeededRng::new(seed);
-                let fast = boot
-                    .replicate_distribution(&vals, stat, &mut rng_a)
-                    .expect("non-empty input");
-                let slow = boot
-                    .replicate_distribution_materialized(&vals, stat, &mut rng_b)
-                    .expect("non-empty input");
-                outcomes.push((name, fast, slow));
-            }
+        for (name, stat) in statistics() {
+            std::env::set_var("RAYON_NUM_THREADS", "1");
+            let serial = resampler_bits(&vals, seed, stat);
+            std::env::set_var("RAYON_NUM_THREADS", "6");
+            let parallel = resampler_bits(&vals, seed, stat);
             std::env::remove_var("RAYON_NUM_THREADS");
-            for (name, fast, slow) in outcomes {
-                prop_assert_eq!(fast.len(), slow.len());
-                for (i, (f, s)) in fast.iter().zip(&slow).enumerate() {
-                    prop_assert_eq!(
-                        f.to_bits(),
-                        s.to_bits(),
-                        "stat {} replicate {} with {} threads: {} != {}",
-                        name, i, threads, f, s
-                    );
-                }
-            }
+            prop_assert_eq!(serial, parallel, "stat {} diverged across thread counts", name);
         }
     }
 }

@@ -116,7 +116,7 @@ pub fn json_report(trace: &Trace, metrics: &MetricsSnapshot) -> String {
 }
 
 /// Renders the human-readable summary printed to stderr by
-/// `run_all --timings`: span aggregates (descending total time), then
+/// `vdbench campaign --timings`: span aggregates (descending total time), then
 /// every registered counter, gauge and histogram.
 #[must_use]
 pub fn summary(trace: &Trace, metrics: &MetricsSnapshot) -> String {

@@ -11,12 +11,12 @@
 //!   stitched into a process-wide [`span::Trace`] on demand.
 //! * **Metrics registry** ([`registry`]): named counters, gauges and
 //!   histograms with fixed log₂ bucketing. The campaign cache's hit/miss
-//!   counters live here, so `run_all --timings` and `BENCH_campaign.json`
+//!   counters live here, so `vdbench campaign --timings` and `BENCH_campaign.json`
 //!   are *derived views* over the registry rather than a parallel
 //!   hand-rolled instrumentation path.
 //! * **Exporters** ([`export`]): a human-readable stderr summary, a
 //!   structured JSON report, and the Chrome `trace_event` format
-//!   (`run_all --trace-out trace.json`, loadable in `chrome://tracing` or
+//!   (`vdbench campaign --trace-out trace.json`, loadable in `chrome://tracing` or
 //!   [Perfetto](https://ui.perfetto.dev)) showing the worker schedule.
 //!
 //! # Overhead contract

@@ -6,7 +6,7 @@
 //! update is a single atomic RMW — always live, independent of the span
 //! recording switch. The campaign cache's hit/miss counters live here
 //! (`campaign.case_study.hits`, …), which is what lets
-//! `run_all --timings` and `BENCH_campaign.json` be derived views over
+//! `vdbench campaign --timings` and `BENCH_campaign.json` be derived views over
 //! this registry instead of a parallel hand-rolled counter path.
 
 use serde::{Deserialize, Serialize};

@@ -25,6 +25,7 @@ fn help_lists_every_command_and_its_flags() {
     let (stdout, _, code) = vdbench(&["help"]);
     assert_eq!(code, Some(0));
     for cmd in [
+        "campaign",
         "generate",
         "scan",
         "bench",
@@ -56,6 +57,13 @@ fn help_lists_every_command_and_its_flags() {
         "--min-effect F",
         "--perf-history DIR",
         "--scan-threads N",
+        "--artifact NAME",
+        "--timings on|off",
+        "--trace-out FILE",
+        "--telemetry-selfcheck on|off",
+        "--fault-profile NAME",
+        "--fault-seed N",
+        "--disk-cache on|off",
     ] {
         assert!(stdout.contains(flag), "{flag} missing from help");
     }
@@ -288,6 +296,45 @@ fn usage_errors_exit_2_with_suggestions() {
     assert_eq!(code, Some(2));
     assert!(stderr.contains("unknown action `chceck`"), "{stderr}");
     assert!(stderr.contains("did you mean `check`?"), "{stderr}");
+
+    // The campaign's flags and artifact names get the same treatment.
+    let (_, stderr, code) = vdbench(&["campaign", "--timmings", "on"]);
+    assert_eq!(code, Some(2));
+    assert!(stderr.contains("did you mean --timings"), "{stderr}");
+
+    let (_, stderr, code) = vdbench(&["campaign", "--artifact", "tabel1"]);
+    assert_eq!(code, Some(2));
+    assert!(stderr.contains("unknown artifact `tabel1`"), "{stderr}");
+    assert!(stderr.contains("did you mean `table1`?"), "{stderr}");
+}
+
+#[test]
+fn campaign_artifact_renders_its_golden_transcript_slice() {
+    let golden =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/results/run_all.txt"))
+            .expect("golden transcript");
+    for artifact in ["preamble", "table1", "table3"] {
+        let (stdout, stderr, code) =
+            vdbench(&["campaign", "--artifact", artifact, "--disk-cache", "off"]);
+        assert_eq!(code, Some(0), "{stderr}");
+        assert!(stdout.len() > 1, "{artifact} rendered nothing");
+        assert!(
+            golden.contains(&stdout),
+            "{artifact} output is not in the golden transcript:\n{stdout}"
+        );
+    }
+    // Timing one artifact would record a partial campaign as the cold
+    // baseline, and a ledger entry needs a timed run: both are usage
+    // errors rather than silently ignored.
+    let (_, stderr, code) = vdbench(&["campaign", "--artifact", "table1", "--timings", "on"]);
+    assert_eq!(code, Some(2));
+    assert!(
+        stderr.contains("cannot be combined with --artifact"),
+        "{stderr}"
+    );
+    let (_, stderr, code) = vdbench(&["campaign", "--perf-history", "unused-ledger-dir"]);
+    assert_eq!(code, Some(2));
+    assert!(stderr.contains("pass --timings on"), "{stderr}");
 }
 
 #[test]
