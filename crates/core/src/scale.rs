@@ -1,32 +1,34 @@
-//! Million-unit campaigns: streamed generation, pipelined fixed-memory
-//! sharded scanning, and incremental delta rescans.
+//! Million-unit campaigns: streamed generation, fixed-memory sharded
+//! scanning on the shared pool, and incremental delta rescans.
 //!
 //! [`streamed_scan`] drives one detection tool over a
 //! [`CorpusBuilder`]-described corpus **without ever materializing it**:
-//! a plan producer walks the [`vdbench_corpus::CorpusStream`] while a
-//! pool of shard workers materialize, scan and score bounded shards, and
-//! the per-shard confusion partials are folded *in shard order* into one
-//! running [`ConfusionMatrix`] — peak memory is a function of the shard
-//! size times the worker count, not the corpus size (the `vdbench scale`
-//! bench and the CI `scale-smoke` job assert the resulting flat RSS
-//! curve).
+//! the caller walks the [`vdbench_corpus::CorpusStream`] one window of
+//! shard plans at a time, the window's shards are materialized, scanned
+//! and scored on the process-wide rayon pool, and their confusion
+//! partials are folded *in shard order* into one running
+//! [`ConfusionMatrix`] — peak memory is a function of the shard size
+//! times the pool width, not the corpus size (the `vdbench scale` bench
+//! and the CI `scale-smoke` job assert the resulting flat RSS curve).
 //!
-//! # Pipeline
+//! # Window loop
 //!
 //! ```text
-//!  producer ──sync_channel──▶ workers (×N) ──sync_channel──▶ in-order fold
-//!  next_plans                 process_shard                  reorder buffer
+//!  next_plans ×(threads·SHARDS_PER_THREAD) ──▶ par_iter process_shard ──▶ absorb in order
+//!  └──────────────────────── repeat until the stream is empty ◀────────────────────────┘
 //! ```
 //!
-//! Both channels are bounded by the thread count and the fold drains a
-//! [`std::collections::BTreeMap`] reorder buffer keyed on shard index, so
-//! at most O(threads) shards are in flight and the aggregate is absorbed
-//! in exactly the serial order. Every per-shard quantity (`rescanned`,
-//! `replayed`, the preview head, the confusion partial) is computed
-//! inside `process_shard` from the shard's own plans — never from
-//! schedule state — so the pipelined report is **byte-identical to the
-//! retained serial oracle** ([`streamed_scan_serial`]) at any thread
-//! count and shard size. `--scan-threads 1` *is* the serial oracle.
+//! A window holds the plans of `threads × SHARDS_PER_THREAD` shards
+//! (one shard at `threads == 1`), so at most that many plan vectors and
+//! one materialized shard per pool thread are alive at once. `collect`
+//! returns outcomes in window order, so the fold absorbs them in exactly
+//! the serial order. Every per-shard quantity (`rescanned`, `replayed`,
+//! the preview head, the confusion partial) is computed inside
+//! `process_shard` from the shard's own plans — never from schedule
+//! state — so the report is **byte-identical to a monolithic
+//! `build()` + scan + score** at any thread count, pool width and shard
+//! size. At one thread the window is one shard run inline on the caller:
+//! that is the serial path ([`streamed_scan_serial`]).
 //!
 //! # Incrementality contract
 //!
@@ -56,16 +58,19 @@
 //! of the shard size used to write the manifest being read — a manifest
 //! written at `--shard-units 512` simply never aliases one written at
 //! `4096`. A corrupt or stale header (or manifest) is a miss, never an
-//! error: the shard degrades to per-unit matching, then to a rescan.
+//! error: the shard degrades to per-unit matching, then to a rescan. A
+//! header whose digest matches is still checked before it is trusted —
+//! its unit count must equal the shard's, its confusion must sum to its
+//! sites, and its preview must hold `min(findings, 3)` findings — and
+//! one that fails is treated as missing, then healed.
 //! With the disk tier off, every unit rescans (the stream path still
 //! runs in bounded memory).
 
 use crate::cache::{self, tool_fingerprint};
 use crate::campaign;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::sync::mpsc::sync_channel;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use vdbench_corpus::{CorpusBuilder, UnitMaterializer, UnitPlan};
 use vdbench_detectors::{score_findings, Detector, Finding, SiteOutcome};
 use vdbench_metrics::ConfusionMatrix;
@@ -80,6 +85,14 @@ pub const DEFAULT_SHARD_UNITS: usize = 4096;
 /// everything else is counted, not kept — the aggregate must stay O(1)
 /// in corpus size.
 const PREVIEW_FINDINGS: usize = 3;
+
+/// Shards one window of the scan loop plans per thread — the scan's
+/// counterpart of the rayon shim's `BLOCKS_PER_THREAD`: enough that a
+/// thread stuck on an expensive shard leaves the rest of the window to
+/// the others, and that the pool rarely waits on the caller planning
+/// the next window; few enough that the window's plans stay a small,
+/// fixed amount of memory.
+const SHARDS_PER_THREAD: usize = 8;
 
 /// The `scan.*` counters on the process-wide telemetry registry.
 struct ScaleCounters {
@@ -103,7 +116,7 @@ fn counters() -> &'static ScaleCounters {
 }
 
 /// Aggregate of one streamed scan — O(1) in corpus size.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StreamedScanReport {
     /// The tool's display name.
     pub tool: String,
@@ -172,6 +185,22 @@ struct ShardHeader {
     preview: Vec<Finding>,
 }
 
+impl ShardHeader {
+    /// Whether the header's aggregate holds together for a shard of
+    /// `units` plans. A header is addressed by its inputs only, so a
+    /// hand-edited or bit-flipped count would otherwise fold straight
+    /// into the report.
+    fn is_consistent(&self, units: usize) -> bool {
+        let c = &self.confusion;
+        let total = [c.tp, c.fp, c.fn_, c.tn]
+            .into_iter()
+            .try_fold(0u64, u64::checked_add);
+        self.units == units as u64
+            && total == Some(self.sites)
+            && self.preview.len() as u64 == self.findings.min(PREVIEW_FINDINGS as u64)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Shard manifest entries: columnar layout + compact binary codec
 // ---------------------------------------------------------------------------
@@ -218,33 +247,18 @@ impl ShardEntries {
         self.indices.binary_search(&index).ok()
     }
 
-    fn outcome_range(&self, i: usize) -> std::ops::Range<usize> {
-        let start = if i == 0 {
-            0
-        } else {
-            self.outcome_ends[i - 1] as usize
-        };
-        start..self.outcome_ends[i] as usize
-    }
-
-    fn finding_range(&self, i: usize) -> std::ops::Range<usize> {
-        let start = if i == 0 {
-            0
-        } else {
-            self.finding_ends[i - 1] as usize
-        };
-        start..self.finding_ends[i] as usize
-    }
-
     /// Appends unit `i` of `other` (a decoded manifest) as a replayed
     /// unit of this shard.
     fn push_replayed(&mut self, other: &ShardEntries, i: usize) {
+        // Unit `i`'s slice of a pool whose per-unit end offsets are `ends`.
+        let range =
+            |ends: &[u32]| (if i == 0 { 0 } else { ends[i - 1] as usize })..ends[i] as usize;
         self.indices.push(other.indices[i]);
         self.fingerprints.push(other.fingerprints[i]);
         self.outcomes
-            .extend_from_slice(&other.outcomes[other.outcome_range(i)]);
+            .extend_from_slice(&other.outcomes[range(&other.outcome_ends)]);
         self.findings
-            .extend_from_slice(&other.findings[other.finding_range(i)]);
+            .extend_from_slice(&other.findings[range(&other.finding_ends)]);
         self.outcome_ends.push(self.outcomes.len() as u32);
         self.finding_ends.push(self.findings.len() as u32);
     }
@@ -504,11 +518,11 @@ fn decode_entries(bytes: &[u8]) -> Option<ShardEntries> {
 }
 
 // ---------------------------------------------------------------------------
-// Per-shard processing (shared by the serial oracle and the pipeline)
+// Per-shard processing
 // ---------------------------------------------------------------------------
 
-/// Everything a shard worker needs; shared by reference across the
-/// thread scope.
+/// Everything `process_shard` needs; shared by reference across the
+/// pool threads working on a window.
 struct ShardScanContext<'a> {
     tool: &'a dyn Detector,
     mat: UnitMaterializer,
@@ -517,8 +531,8 @@ struct ShardScanContext<'a> {
     shard_units: usize,
 }
 
-/// The O(1) result of one shard, in the order-independent form that
-/// flows through the reorder buffer into the fold.
+/// The O(1) result of one shard, in the order-independent form the
+/// fold absorbs.
 struct ShardOutcome {
     units: u64,
     sites: u64,
@@ -559,9 +573,9 @@ fn scan_run_into(cx: &ShardScanContext<'_>, run: &[UnitPlan], out: &mut ShardEnt
     debug_assert_eq!(fc, out.findings.len(), "findings beyond the run's units");
 }
 
-/// Fetch/replay/rescan/publish for one shard. Pure in the pipeline
+/// Fetch/replay/rescan/publish for one shard. Pure in the scheduling
 /// sense: the outcome depends only on `(plans, shard_index)` and the
-/// blob store, never on which worker runs it or when.
+/// blob store, never on which thread runs it or when.
 fn process_shard(cx: &ShardScanContext<'_>, shard_index: u64, plans: &[UnitPlan]) -> ShardOutcome {
     let _span = vdbench_telemetry::span!(
         "core",
@@ -571,7 +585,9 @@ fn process_shard(cx: &ShardScanContext<'_>, shard_index: u64, plans: &[UnitPlan]
     );
     let key = manifest_key(cx.tool_fp, cx.fault_fp, cx.shard_units, shard_index);
     let digest = shard_digest(plans);
-    let header = cache::disk_get::<ShardHeader>("mhdr", key);
+    // An inconsistent header is treated exactly like a missing one.
+    let header =
+        cache::disk_get::<ShardHeader>("mhdr", key).filter(|h| h.is_consistent(plans.len()));
     if let Some(h) = &header {
         if h.digest == digest {
             // O(1) warm replay: the header carries the whole aggregate.
@@ -682,39 +698,16 @@ fn absorb(report: &mut StreamedScanReport, out: ShardOutcome) {
     report.shards += 1;
 }
 
-fn empty_report(tool: &dyn Detector) -> StreamedScanReport {
-    StreamedScanReport {
-        tool: tool.name(),
-        units: 0,
-        sites: 0,
-        shards: 0,
-        confusion: ConfusionMatrix::default(),
-        findings: 0,
-        preview: Vec::new(),
-        rescanned: 0,
-        replayed: 0,
-        digest_hits: 0,
-    }
-}
-
-fn add_to_global_counters(report: &StreamedScanReport) {
-    let c = counters();
-    c.rescanned.add(report.rescanned);
-    c.replayed.add(report.replayed);
-    c.shards.add(report.shards);
-    c.digest_hits.add(report.digest_hits);
-}
-
-/// The worker-pool width [`streamed_scan`] uses: the ambient rayon pool
-/// size (`RAYON_NUM_THREADS` honored).
+/// The thread count [`streamed_scan`] uses: the ambient rayon pool size
+/// (`RAYON_NUM_THREADS` honored).
 #[must_use]
 pub fn default_scan_threads() -> usize {
     rayon::current_num_threads()
 }
 
 /// Runs `tool` over the corpus `builder` describes, in shards of
-/// `shard_units`, on [`default_scan_threads`] shard workers. See the
-/// module docs for the memory and incrementality contracts.
+/// `shard_units`, at [`default_scan_threads`] threads. See the module
+/// docs for the memory and incrementality contracts.
 ///
 /// The returned report's confusion matrix, finding count and preview are
 /// bit-identical to a monolithic `build()` + scan + score at any shard
@@ -733,9 +726,11 @@ pub fn streamed_scan(
     streamed_scan_with_threads(tool, builder, shard_units, default_scan_threads())
 }
 
-/// [`streamed_scan`] with an explicit worker count (`--scan-threads`).
-/// `threads == 1` runs the serial oracle; more threads run the bounded
-/// producer/workers/fold pipeline. Output is identical either way.
+/// [`streamed_scan`] with an explicit thread count (`--scan-threads`):
+/// each window plans `threads × SHARDS_PER_THREAD` shards and processes
+/// them on the shared pool, whose width `RAYON_NUM_THREADS` sets. At
+/// `threads == 1` a window is one shard, run inline on the caller. The
+/// report is identical either way.
 ///
 /// # Panics
 ///
@@ -747,9 +742,6 @@ pub fn streamed_scan_with_threads(
     threads: usize,
 ) -> StreamedScanReport {
     assert!(threads > 0, "scan thread count must be positive");
-    if threads == 1 {
-        return streamed_scan_serial(tool, builder, shard_units);
-    }
     assert!(shard_units > 0, "shard size must be positive");
     let mut stream = builder.stream();
     let cx = ShardScanContext {
@@ -767,70 +759,40 @@ pub fn streamed_scan_with_threads(
         shard_units = shard_units,
         threads = threads
     );
-    let mut report = empty_report(tool);
-    // Both channels are bounded by the worker count, so plans, in-flight
-    // shards and undrained outcomes together hold O(threads) shards —
-    // the flat-RSS guarantee survives parallelism. (Declared outside the
-    // scope: scoped threads borrow the receiver mutex.)
-    let (job_tx, job_rx) = sync_channel::<(u64, Vec<UnitPlan>)>(threads);
-    let job_rx = Mutex::new(job_rx);
-    let (out_tx, out_rx) = sync_channel::<(u64, ShardOutcome)>(threads);
-    std::thread::scope(|s| {
-        s.spawn(move || {
-            let _span = vdbench_telemetry::span!("core", "plan_producer");
-            let mut shard_index: u64 = 0;
-            loop {
-                let plans = stream.next_plans(shard_units);
-                if plans.is_empty() {
-                    break;
-                }
-                if job_tx.send((shard_index, plans)).is_err() {
-                    break;
-                }
-                shard_index += 1;
-            }
-        });
-        let cx = &cx;
-        let job_rx = &job_rx;
-        for worker in 0..threads {
-            let out_tx = out_tx.clone();
-            s.spawn(move || {
-                let _span = vdbench_telemetry::span!("core", "shard_worker", worker = worker);
-                loop {
-                    let job = job_rx.lock().expect("plan channel poisoned").recv();
-                    let Ok((shard_index, plans)) = job else { break };
-                    let out = process_shard(cx, shard_index, &plans);
-                    if out_tx.send((shard_index, out)).is_err() {
-                        break;
-                    }
-                }
-            });
+    let window_shards = if threads == 1 {
+        1
+    } else {
+        threads * SHARDS_PER_THREAD
+    };
+    let mut report = StreamedScanReport {
+        tool: tool.name(),
+        ..StreamedScanReport::default()
+    };
+    while stream.remaining_units() > 0 {
+        // Every shard absorbed so far numbers the next one.
+        let window: Vec<(u64, Vec<UnitPlan>)> = (report.shards..)
+            .take(window_shards)
+            .map(|i| (i, stream.next_plans(shard_units)))
+            .take_while(|(_, plans)| !plans.is_empty())
+            .collect();
+        let outcomes: Vec<ShardOutcome> = window
+            .par_iter()
+            .map(|(i, plans)| process_shard(&cx, *i, plans))
+            .collect();
+        for out in outcomes {
+            absorb(&mut report, out);
         }
-        drop(out_tx);
-        // In-order fold: outcomes arrive in completion order and drain
-        // through a reorder buffer keyed on shard index, so absorption
-        // order — and therefore preview, counts and stdout — matches the
-        // serial oracle exactly.
-        let _span = vdbench_telemetry::span!("core", "shard_fold");
-        let mut next: u64 = 0;
-        let mut reorder: BTreeMap<u64, ShardOutcome> = BTreeMap::new();
-        while let Ok((shard_index, out)) = out_rx.recv() {
-            reorder.insert(shard_index, out);
-            while let Some(ready) = reorder.remove(&next) {
-                absorb(&mut report, ready);
-                next += 1;
-            }
-        }
-        debug_assert!(reorder.is_empty(), "reorder buffer drained");
-    });
-    add_to_global_counters(&report);
+    }
+    let c = counters();
+    c.rescanned.add(report.rescanned);
+    c.replayed.add(report.replayed);
+    c.shards.add(report.shards);
+    c.digest_hits.add(report.digest_hits);
     report
 }
 
-/// The retained serial oracle: one thread walks plans, processes each
-/// shard and folds it, with no channels in between. The pipeline is
-/// tested byte-identical against this path, and `--scan-threads 1`
-/// resolves to it.
+/// [`streamed_scan_with_threads`] at one thread: every shard in stream
+/// order on the calling thread.
 ///
 /// # Panics
 ///
@@ -840,36 +802,7 @@ pub fn streamed_scan_serial(
     builder: &CorpusBuilder,
     shard_units: usize,
 ) -> StreamedScanReport {
-    assert!(shard_units > 0, "shard size must be positive");
-    let mut stream = builder.stream();
-    let cx = ShardScanContext {
-        tool,
-        mat: stream.materializer(),
-        tool_fp: tool_fingerprint(tool),
-        fault_fp: campaign::fault_injection().map_or(0, |c| c.fingerprint()),
-        shard_units,
-    };
-    let _span = vdbench_telemetry::span!(
-        "core",
-        "streamed_scan",
-        tool = tool.name(),
-        units = stream.total_units(),
-        shard_units = shard_units,
-        threads = 1
-    );
-    let mut report = empty_report(tool);
-    let mut shard_index: u64 = 0;
-    loop {
-        let plans = stream.next_plans(shard_units);
-        if plans.is_empty() {
-            break;
-        }
-        let out = process_shard(&cx, shard_index, &plans);
-        absorb(&mut report, out);
-        shard_index += 1;
-    }
-    add_to_global_counters(&report);
-    report
+    streamed_scan_with_threads(tool, builder, shard_units, 1)
 }
 
 /// One measured point of the `vdbench scale` curve.
@@ -905,7 +838,7 @@ pub struct ScaleRecord {
     pub seed: u64,
     /// Shard size used throughout.
     pub shard_units: u64,
-    /// Shard-worker threads used throughout.
+    /// Scan threads (`--scan-threads`) used throughout.
     pub threads: u64,
     /// Measured curve, ascending unit counts.
     pub points: Vec<ScalePoint>,
@@ -973,33 +906,77 @@ mod tests {
             .unwrap_or_default()
     }
 
-    #[test]
-    fn streamed_scan_matches_monolithic_at_any_shard_size() {
-        let _guard = disk_lock();
-        set_disk_cache(None);
-        let builder = CorpusBuilder::new().units(150).seed(0x5CA1E).clone();
+    /// What a streamed scan of `builder` in shards of `shard_units` must
+    /// report with the disk tier off: the monolithic `build()` + scan +
+    /// score result, every unit rescanned.
+    fn monolithic_report(
+        tool: &dyn Detector,
+        builder: &CorpusBuilder,
+        shard_units: usize,
+    ) -> StreamedScanReport {
         let corpus = builder.build();
-        let tool = PatternScanner::aggressive();
-        let whole = score_detector(&tool, &corpus);
         let findings = tool.analyze_corpus(&corpus);
-        for shard_units in [1usize, 17, 64, 150, 4096] {
-            let report = streamed_scan(&tool, &builder, shard_units);
-            assert_eq!(report.confusion, whole.confusion(), "shard {shard_units}");
-            assert_eq!(report.units, 150);
-            assert_eq!(report.sites, whole.records().len() as u64);
-            assert_eq!(report.findings, findings.len() as u64);
-            assert_eq!(
-                report.preview.as_slice(),
-                &findings[..PREVIEW_FINDINGS.min(findings.len())]
-            );
-            assert_eq!(report.rescanned, 150, "disk off: every unit rescans");
-            assert_eq!(report.replayed, 0);
-            assert_eq!(report.digest_hits, 0);
+        let scored = score_findings(&tool.name(), &corpus, &findings);
+        let units = corpus.units().len() as u64;
+        StreamedScanReport {
+            tool: tool.name(),
+            units,
+            sites: scored.records().len() as u64,
+            shards: units.div_ceil(shard_units as u64),
+            confusion: scored.confusion(),
+            findings: findings.len() as u64,
+            preview: findings.iter().take(PREVIEW_FINDINGS).cloned().collect(),
+            rescanned: units,
+            replayed: 0,
+            digest_hits: 0,
         }
     }
 
+    /// Shard `index`'s blob of `kind` in a store written at 32-unit
+    /// shards without fault injection.
+    fn shard_blob(
+        dir: &std::path::Path,
+        kind: &str,
+        tool: &dyn Detector,
+        index: u64,
+    ) -> std::path::PathBuf {
+        let key = format!(
+            "{:016x}",
+            manifest_key(tool_fingerprint(tool), 0, 32, index)
+        );
+        blobs_of_kind(dir, kind)
+            .into_iter()
+            .find(|p| p.to_string_lossy().contains(&key))
+            .expect("shard blob exists")
+    }
+
+    /// The entries a cold scan of the first `units` units writes as one
+    /// shard.
+    fn scanned_shard(tool: &dyn Detector, units: usize, seed: u64) -> ShardEntries {
+        let mut stream = CorpusBuilder::new().units(units).seed(seed).stream();
+        let cx = ShardScanContext {
+            tool,
+            mat: stream.materializer(),
+            tool_fp: tool_fingerprint(tool),
+            fault_fp: 0,
+            shard_units: units,
+        };
+        let mut entries = ShardEntries::with_capacity(units);
+        scan_run_into(&cx, &stream.next_plans(units), &mut entries);
+        entries
+    }
+
+    /// Runs `f` with `RAYON_NUM_THREADS` set to `width`, then unsets it.
+    /// Callers hold [`disk_lock`], which also serializes these writes.
+    fn at_pool_width<R>(width: usize, f: impl FnOnce() -> R) -> R {
+        std::env::set_var("RAYON_NUM_THREADS", width.to_string());
+        let out = f();
+        std::env::remove_var("RAYON_NUM_THREADS");
+        out
+    }
+
     #[test]
-    fn pipelined_scan_matches_serial_oracle() {
+    fn streamed_scan_matches_monolithic_at_any_shard_size_and_thread_count() {
         let _guard = disk_lock();
         set_disk_cache(None);
         let clean: Box<dyn Detector> = Box::new(PatternScanner::aggressive());
@@ -1007,51 +984,69 @@ mod tests {
             Box::new(PatternScanner::aggressive()),
             FaultPlan::new(FaultConfig::new(FaultProfile::Flaky, 0xFA7)),
         ));
+        let builder = CorpusBuilder::new().units(137).seed(0x9192).clone();
         for (profile, tool) in [("none", &clean), ("flaky", &flaky)] {
-            let builder = CorpusBuilder::new().units(137).seed(0x9192).clone();
             for shard_units in [1usize, 13, 64, 137, 4096] {
-                let oracle = streamed_scan_serial(tool.as_ref(), &builder, shard_units);
-                for threads in [1usize, 2, 8] {
-                    let piped =
-                        streamed_scan_with_threads(tool.as_ref(), &builder, shard_units, threads);
-                    assert_eq!(
-                        piped, oracle,
-                        "fault={profile} shard={shard_units} threads={threads}"
-                    );
+                let oracle = monolithic_report(tool.as_ref(), &builder, shard_units);
+                for width in [1usize, 4] {
+                    for threads in [1usize, 2, 8] {
+                        let report = at_pool_width(width, || {
+                            streamed_scan_with_threads(
+                                tool.as_ref(),
+                                &builder,
+                                shard_units,
+                                threads,
+                            )
+                        });
+                        assert_eq!(
+                            report, oracle,
+                            "fault={profile} shard={shard_units} pool={width} threads={threads}"
+                        );
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn pipelined_scan_matches_serial_oracle_with_warm_store() {
+    fn warm_store_scan_matches_monolithic_at_any_thread_count() {
         let _guard = disk_lock();
-        let dir = tmp_store("pipe-warm");
-        set_disk_cache(Some(dir.clone()));
         let tool = PatternScanner::aggressive();
         let base = CorpusBuilder::new().units(100).seed(0xBEA7).clone();
-        let cold = streamed_scan_with_threads(&tool, &base, 16, 4);
-        assert_eq!(
-            (cold.rescanned, cold.replayed, cold.digest_hits),
-            (100, 0, 0)
-        );
-        // Grow the corpus so the warm run mixes digest hits, a partial
-        // per-unit replay and a fresh rescan — on both paths.
         let grown = CorpusBuilder::new().units(150).seed(0xBEA7).clone();
-        let serial = streamed_scan_serial(&tool, &grown, 16);
-        // The serial warm run rewrote the tail; restore a store where the
-        // pipelined run sees the same starting state.
-        let _ = std::fs::remove_dir_all(&dir);
-        set_disk_cache(Some(dir.clone()));
-        let recold = streamed_scan_with_threads(&tool, &base, 16, 4);
-        assert_eq!(recold.rescanned, 100);
-        let piped = streamed_scan_with_threads(&tool, &grown, 16, 4);
-        assert_eq!(piped, serial);
-        assert_eq!(piped.rescanned, 50);
-        assert_eq!(piped.replayed, 100);
-        assert_eq!(piped.digest_hits, 6, "six of seven base shards digest-hit");
         set_disk_cache(None);
-        let _ = std::fs::remove_dir_all(&dir);
+        let oracle = monolithic_report(&tool, &grown, 16);
+        for width in [1usize, 4] {
+            for threads in [1usize, 2, 8] {
+                let dir = tmp_store(&format!("warm-{width}-{threads}"));
+                set_disk_cache(Some(dir.clone()));
+                let (cold, warm) = at_pool_width(width, || {
+                    let cold = streamed_scan_with_threads(&tool, &base, 16, threads);
+                    // The grown corpus mixes digest hits, a partial
+                    // per-unit replay of the old tail shard and a fresh
+                    // rescan.
+                    (cold, streamed_scan_with_threads(&tool, &grown, 16, threads))
+                });
+                let at = format!("pool={width} threads={threads}");
+                assert_eq!(
+                    (cold.rescanned, cold.replayed, cold.digest_hits),
+                    (100, 0, 0),
+                    "{at}"
+                );
+                assert_eq!(
+                    StreamedScanReport {
+                        rescanned: 50,
+                        replayed: 100,
+                        digest_hits: 6,
+                        ..oracle.clone()
+                    },
+                    warm,
+                    "{at}: six of seven base shards digest-hit"
+                );
+                set_disk_cache(None);
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
     }
 
     #[test]
@@ -1147,6 +1142,43 @@ mod tests {
     }
 
     #[test]
+    fn inconsistent_header_is_not_trusted_and_heals() {
+        let _guard = disk_lock();
+        let dir = tmp_store("hdrtamper");
+        set_disk_cache(Some(dir.clone()));
+        let tool = PatternScanner::aggressive();
+        let builder = CorpusBuilder::new().units(90).seed(0x7A3F).clone();
+        let cold = streamed_scan(&tool, &builder, 32);
+        let clean = streamed_scan(&tool, &builder, 32);
+        assert_eq!(clean.digest_hits, 3);
+        // Raise shard 0's TP by 700 in a header that still parses and
+        // still matches its digest.
+        let path = shard_blob(&dir, "mhdr", &tool, 0);
+        let mut header: ShardHeader =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        header.confusion.tp += 700;
+        std::fs::write(&path, serde_json::to_string(&header).unwrap()).unwrap();
+        let tampered = streamed_scan(&tool, &builder, 32);
+        assert_eq!(
+            tampered,
+            StreamedScanReport {
+                digest_hits: clean.digest_hits - 1,
+                ..clean.clone()
+            },
+            "the tampered shard replays per unit"
+        );
+        assert_eq!(
+            (tampered.confusion, tampered.sites, tampered.findings),
+            (cold.confusion, cold.sites, cold.findings)
+        );
+        assert_eq!(tampered.preview, cold.preview);
+        let healed = streamed_scan(&tool, &builder, 32);
+        assert_eq!(healed, clean, "the header was rewritten on the rerun");
+        set_disk_cache(None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn corrupt_manifest_rescans_its_shard_without_failing() {
         let _guard = disk_lock();
         let dir = tmp_store("mancorrupt");
@@ -1158,19 +1190,8 @@ mod tests {
         // rescue a shard whose entries are gone, and the scan must not
         // fail — it rescans exactly that shard.
         assert_eq!(blobs_of_kind(&dir, "manifest").len(), 3);
-        let victim_key = format!("{:016x}", manifest_key(tool_fingerprint(&tool), 0, 32, 0));
-        let victim_blob = |kind: &str| {
-            blobs_of_kind(&dir, kind)
-                .into_iter()
-                .find(|p| {
-                    p.file_name()
-                        .and_then(|n| n.to_str())
-                        .is_some_and(|n| n.contains(&victim_key))
-                })
-                .expect("shard 0 blob exists")
-        };
-        std::fs::write(victim_blob("manifest"), [0xFFu8; 7]).unwrap();
-        std::fs::remove_file(victim_blob("mhdr")).unwrap();
+        std::fs::write(shard_blob(&dir, "manifest", &tool, 0), [0xFFu8; 7]).unwrap();
+        std::fs::remove_file(shard_blob(&dir, "mhdr", &tool, 0)).unwrap();
         let partial = streamed_scan(&tool, &builder, 32);
         assert_eq!(partial.rescanned, 32, "only the corrupted shard rescans");
         assert_eq!(partial.replayed, 58);
@@ -1185,19 +1206,7 @@ mod tests {
     fn manifest_codec_roundtrips_and_rejects_corruption() {
         let _guard = disk_lock();
         set_disk_cache(None);
-        let tool = PatternScanner::aggressive();
-        let builder = CorpusBuilder::new().units(24).seed(0xC0DEC).clone();
-        let mut stream = builder.stream();
-        let cx = ShardScanContext {
-            tool: &tool,
-            mat: stream.materializer(),
-            tool_fp: tool_fingerprint(&tool),
-            fault_fp: 0,
-            shard_units: 24,
-        };
-        let plans = stream.next_plans(24);
-        let mut entries = ShardEntries::with_capacity(plans.len());
-        scan_run_into(&cx, &plans, &mut entries);
+        let entries = scanned_shard(&PatternScanner::aggressive(), 24, 0xC0DEC);
         assert_eq!(entries.len(), 24);
         assert!(!entries.outcomes.is_empty());
         let bytes = encode_entries(&entries);
@@ -1229,20 +1238,8 @@ mod tests {
         // churn the store.
         let _guard = disk_lock();
         set_disk_cache(None);
-        let tool = PatternScanner::aggressive();
-        let builder = CorpusBuilder::new().units(30).seed(0xAB).clone();
-        let mut stream = builder.stream();
-        let cx = ShardScanContext {
-            tool: &tool,
-            mat: stream.materializer(),
-            tool_fp: tool_fingerprint(&tool),
-            fault_fp: 0,
-            shard_units: 30,
-        };
-        let plans = stream.next_plans(30);
-        let mut fresh = ShardEntries::with_capacity(plans.len());
-        scan_run_into(&cx, &plans, &mut fresh);
-        let mut replayed = ShardEntries::with_capacity(plans.len());
+        let fresh = scanned_shard(&PatternScanner::aggressive(), 30, 0xAB);
+        let mut replayed = ShardEntries::with_capacity(fresh.len());
         for i in 0..fresh.len() {
             replayed.push_replayed(&fresh, i);
         }

@@ -17,9 +17,8 @@ use super::CorpusBuilder;
 use crate::corpus::Corpus;
 use vdbench_stats::{derive_seed, SeededRng};
 
-/// FNV-1a over a byte string (the repo-wide content-hash primitive).
-fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+/// Continues an FNV-1a state over `bytes`.
+fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -27,9 +26,14 @@ fn fnv1a_64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// FNV-1a over a byte string (the repo-wide content-hash primitive).
+fn fnv1a_64(bytes: &[u8]) -> u64 {
+    fnv1a_fold(0xcbf2_9ce4_8422_2325, bytes)
+}
+
 /// Continues an FNV-1a state over the decimal digits of `n` — the bytes
 /// `format!("{n}")` would append, without the allocation.
-fn fold_decimal(mut h: u64, n: u64) -> u64 {
+fn fold_decimal(h: u64, n: u64) -> u64 {
     let mut buf = [0u8; 20];
     let mut pos = buf.len();
     let mut rest = n;
@@ -41,11 +45,7 @@ fn fold_decimal(mut h: u64, n: u64) -> u64 {
             break;
         }
     }
-    for &b in &buf[pos..] {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a_fold(h, &buf[pos..])
 }
 
 /// Folds every generator knob *except the unit count* into one hash, so a
@@ -90,11 +90,10 @@ pub struct UnitPlan {
 ///
 /// A [`CorpusStream`] is a *cursor* — `next_plans` mutates the parent RNG
 /// — but materialization is a pure function of the plans and the builder
-/// configuration. Splitting the two lets a pipelined scanner keep one
-/// producer walking the plan sequence while worker threads materialize
-/// shards concurrently: the materializer owns only immutable builder
-/// state, so it is `Send + Sync` and shareable by reference across a
-/// thread scope.
+/// configuration. Splitting the two lets a scanner plan a window of
+/// shards on one thread and materialize them on any number of others:
+/// the materializer owns only immutable builder state, so it is
+/// `Send + Sync` and shareable by reference across pool threads.
 #[derive(Debug, Clone)]
 pub struct UnitMaterializer {
     builder: CorpusBuilder,
@@ -103,34 +102,28 @@ pub struct UnitMaterializer {
 impl UnitMaterializer {
     /// Materializes a contiguous run of plans as a shard whose site ids
     /// stay global ([`Corpus::unit_base`] = the first plan's index) —
-    /// bit-identical to [`CorpusStream::materialize`] on the same plans.
+    /// what [`CorpusStream::materialize`] runs on the same plans.
     ///
     /// # Panics
     ///
     /// Panics if the plans are not index-contiguous.
     pub fn materialize(&self, plans: &[UnitPlan]) -> Corpus {
-        materialize_with(&self.builder, plans)
+        let base = plans.first().map_or(0, |p| p.index);
+        let mut units = Vec::with_capacity(plans.len());
+        let mut sites = Vec::with_capacity(plans.len());
+        for (offset, plan) in plans.iter().enumerate() {
+            assert_eq!(
+                plan.index as usize,
+                base as usize + offset,
+                "materialize requires index-contiguous plans"
+            );
+            let mut rng = SeededRng::new(plan.seed);
+            let (unit, info) = self.builder.generate_unit(plan.index, &mut rng);
+            units.push(unit);
+            sites.push(info);
+        }
+        Corpus::from_shard(units, sites, self.builder.seed, base)
     }
-}
-
-/// Shared materialization body behind [`UnitMaterializer::materialize`]
-/// and [`CorpusStream::materialize`].
-fn materialize_with(builder: &CorpusBuilder, plans: &[UnitPlan]) -> Corpus {
-    let base = plans.first().map_or(0, |p| p.index);
-    let mut units = Vec::with_capacity(plans.len());
-    let mut sites = Vec::with_capacity(plans.len());
-    for (offset, plan) in plans.iter().enumerate() {
-        assert_eq!(
-            plan.index as usize,
-            base as usize + offset,
-            "materialize requires index-contiguous plans"
-        );
-        let mut rng = SeededRng::new(plan.seed);
-        let (unit, info) = builder.generate_unit(plan.index, &mut rng);
-        units.push(unit);
-        sites.push(info);
-    }
-    Corpus::from_shard(units, sites, builder.seed, base)
 }
 
 /// On-demand generator over a [`CorpusBuilder`]'s unit sequence.
@@ -150,7 +143,7 @@ fn materialize_with(builder: &CorpusBuilder, plans: &[UnitPlan]) -> Corpus {
 /// ```
 #[derive(Debug)]
 pub struct CorpusStream {
-    builder: CorpusBuilder,
+    mat: UnitMaterializer,
     parent: SeededRng,
     next: usize,
     config_fp: u64,
@@ -167,7 +160,7 @@ impl CorpusStream {
         let parent = SeededRng::new(builder.seed);
         let config_fp = config_fingerprint(&builder);
         CorpusStream {
-            builder,
+            mat: UnitMaterializer { builder },
             parent,
             next: 0,
             config_fp,
@@ -178,25 +171,17 @@ impl CorpusStream {
     /// A [`UnitMaterializer`] for this stream's builder configuration —
     /// the thread-safe half of the plan/materialize split.
     pub fn materializer(&self) -> UnitMaterializer {
-        UnitMaterializer {
-            builder: self.builder.clone(),
-        }
+        self.mat.clone()
     }
 
     /// Total units the stream will yield.
     pub fn total_units(&self) -> usize {
-        self.builder.units
+        self.mat.builder.units
     }
 
     /// Units not yet yielded.
     pub fn remaining_units(&self) -> usize {
-        self.builder.units - self.next
-    }
-
-    /// Hash of every generator knob except the unit count (the `base` of
-    /// each unit's fingerprint derivation).
-    pub fn config_fingerprint(&self) -> u64 {
-        self.config_fp
+        self.total_units() - self.next
     }
 
     /// Yields identities for the next `max` units (fewer at the end of the
@@ -226,21 +211,7 @@ impl CorpusStream {
     ///
     /// Panics if the plans are not index-contiguous.
     pub fn materialize(&self, plans: &[UnitPlan]) -> Corpus {
-        let base = plans.first().map_or(0, |p| p.index);
-        let mut units = Vec::with_capacity(plans.len());
-        let mut sites = Vec::with_capacity(plans.len());
-        for (offset, plan) in plans.iter().enumerate() {
-            assert_eq!(
-                plan.index as usize,
-                base as usize + offset,
-                "materialize requires index-contiguous plans"
-            );
-            let mut rng = SeededRng::new(plan.seed);
-            let (unit, info) = self.builder.generate_unit(plan.index, &mut rng);
-            units.push(unit);
-            sites.push(info);
-        }
-        Corpus::from_shard(units, sites, self.builder.seed, base)
+        self.mat.materialize(plans)
     }
 
     /// Yields the next shard of at most `max` units, or `None` when the
@@ -357,7 +328,7 @@ mod tests {
             mat.materialize(&plans[8..24]),
             stream.materialize(&plans[8..24])
         );
-        // Workers materialize concurrently from one shared materializer.
+        // Threads materialize concurrently from one shared materializer.
         let shards: Vec<Corpus> = std::thread::scope(|s| {
             let handles: Vec<_> = plans
                 .chunks(10)

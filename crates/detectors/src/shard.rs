@@ -9,12 +9,12 @@
 //! implemented as this driver over a single shard.
 //!
 //! The same schedule-independence discipline carries over to the
-//! *pipelined* streamed scanner (`vdbench_core::streamed_scan`), which
-//! scans whole shards on concurrent worker threads: every per-unit fault
-//! decision ([`fault`]) is keyed on the **global** unit id, never on
-//! visit order or thread identity, so a shard's findings are identical
-//! whether it is scanned serially, in this driver's attempt loop, or on
-//! an arbitrary worker of the parallel pipeline.
+//! streamed scanner (`vdbench_core::streamed_scan`), which scans a
+//! window of whole shards at a time on the shared rayon pool: every
+//! per-unit fault decision ([`fault`]) is keyed on the **global** unit
+//! id, never on visit order or thread identity, so a shard's findings are
+//! identical whether it is scanned serially, in this module's attempt
+//! loop, or on any pool thread.
 //!
 //! Invariants the driver maintains:
 //!

@@ -8,6 +8,8 @@
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 /// Upper bound on request body size: campaign requests are small JSON
 /// documents, so anything bigger is a client error (or abuse), not load.
@@ -20,6 +22,11 @@ const MAX_HEADERS: usize = 64;
 /// client that sends bytes without a newline gets a 400, not an ever
 /// growing buffer.
 pub const MAX_LINE_BYTES: usize = 8 * 1024;
+
+/// Longest one request may take to arrive, counted from the call that
+/// reads it: a client that drips bytes slower than this gets a 400
+/// instead of pinning its connection thread.
+pub const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
 
 /// One parsed request off the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,16 +97,22 @@ fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
+/// Called after a read-timeout mid-request: `Ok` to keep waiting for
+/// more bytes, otherwise the error that ends the request.
+type Patience<'a> = &'a dyn Fn() -> io::Result<()>;
+
 /// Reads one line of at most [`MAX_LINE_BYTES`] into `line` and returns
 /// its length; a longer line is malformed. Read-timeouts retry once any
 /// byte of the request has arrived (a request split across TCP segments
-/// must not be dropped by an idle-poll deadline). With `propagate_idle`,
-/// a timeout on a *completely idle* line — `line` still empty —
-/// propagates so the caller can poll for shutdown.
+/// must not be dropped by an idle-poll deadline), for as long as
+/// `patience` lasts. With `propagate_idle`, a timeout on a *completely
+/// idle* line — `line` still empty — propagates so the caller can poll
+/// for shutdown.
 fn read_line_bounded(
     reader: &mut BufReader<TcpStream>,
     line: &mut String,
     propagate_idle: bool,
+    patience: Patience<'_>,
 ) -> io::Result<usize> {
     loop {
         let budget = MAX_LINE_BYTES.saturating_sub(line.len()) as u64;
@@ -108,7 +121,7 @@ fn read_line_bounded(
                 return Err(malformed("line too long"))
             }
             Ok(_) => return Ok(line.len()),
-            Err(e) if is_timeout(&e) && !(propagate_idle && line.is_empty()) => {}
+            Err(e) if is_timeout(&e) && !(propagate_idle && line.is_empty()) => patience()?,
             Err(e) => return Err(e),
         }
     }
@@ -116,11 +129,26 @@ fn read_line_bounded(
 
 /// Reads one request. `Ok(None)` means the peer closed the connection
 /// cleanly between requests; `Err(InvalidData)` is a malformed request
-/// the caller should answer with 400 and close; idle read-timeouts (no
-/// byte of a next request yet) and other errors propagate untouched.
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<HttpRequest>> {
+/// the caller should answer with 400 and close — including one still
+/// incomplete after [`REQUEST_DEADLINE`] or once `stop` is set; idle
+/// read-timeouts (no byte of a next request yet) and other errors
+/// propagate untouched.
+pub fn read_request(
+    reader: &mut BufReader<TcpStream>,
+    stop: &AtomicBool,
+) -> io::Result<Option<HttpRequest>> {
+    let deadline = Instant::now() + REQUEST_DEADLINE;
+    let patience = &|| {
+        if stop.load(Ordering::SeqCst) {
+            Err(malformed("server is shutting down"))
+        } else if Instant::now() >= deadline {
+            Err(malformed("request deadline exceeded"))
+        } else {
+            Ok(())
+        }
+    };
     let mut line = String::new();
-    if read_line_bounded(reader, &mut line, true)? == 0 {
+    if read_line_bounded(reader, &mut line, true, patience)? == 0 {
         return Ok(None);
     }
     let mut parts = line.split_whitespace();
@@ -135,12 +163,12 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Http
     let mut keep_alive = true;
     for _ in 0..MAX_HEADERS {
         let mut header = String::new();
-        if read_line_bounded(reader, &mut header, false)? == 0 {
+        if read_line_bounded(reader, &mut header, false, patience)? == 0 {
             return Err(malformed("connection closed mid-headers"));
         }
         let header = header.trim_end();
         if header.is_empty() {
-            let body = read_body(reader, content_length)?;
+            let body = read_body(reader, content_length, patience)?;
             return Ok(Some(HttpRequest {
                 method,
                 path,
@@ -164,7 +192,11 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Http
     Err(malformed("too many headers"))
 }
 
-fn read_body(reader: &mut BufReader<TcpStream>, len: usize) -> io::Result<String> {
+fn read_body(
+    reader: &mut BufReader<TcpStream>,
+    len: usize,
+    patience: Patience<'_>,
+) -> io::Result<String> {
     let mut buf = vec![0u8; len];
     let mut filled = 0;
     // Manual fill loop: `read_exact` cannot resume after a read-timeout
@@ -173,7 +205,7 @@ fn read_body(reader: &mut BufReader<TcpStream>, len: usize) -> io::Result<String
         match reader.read(&mut buf[filled..]) {
             Ok(0) => return Err(malformed("connection closed mid-body")),
             Ok(n) => filled += n,
-            Err(e) if is_timeout(&e) => {}
+            Err(e) if is_timeout(&e) => patience()?,
             Err(e) => return Err(e),
         }
     }

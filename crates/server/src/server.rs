@@ -3,9 +3,11 @@
 //!
 //! The listener runs non-blocking so the accept loop can observe the
 //! shutdown flag; each accepted connection gets a thread with a short
-//! read timeout for the same reason. Connection threads are tracked and
-//! joined on shutdown, so [`ServerHandle::shutdown`] returning means no
-//! request is still executing.
+//! read timeout for the same reason, and a request still arriving gives
+//! up once the flag is set (or after [`crate::http::REQUEST_DEADLINE`]),
+//! so a slow-drip client cannot hold shutdown hostage. Connection threads
+//! are tracked and joined on shutdown, so [`ServerHandle::shutdown`]
+//! returning means no request is still executing.
 
 use std::io::{self, BufReader, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -133,7 +135,7 @@ fn serve_connection(stream: TcpStream, service: &Service, stop: &Arc<AtomicBool>
     };
     let mut reader = BufReader::new(stream);
     loop {
-        match read_request(&mut reader) {
+        match read_request(&mut reader, stop) {
             Ok(Some(request)) => {
                 let response = service.handle(&request);
                 let keep_alive = request.keep_alive;

@@ -15,12 +15,14 @@
 //! * a saturated server sheds cold work with 429 but keeps serving warm;
 //! * per-client step budgets deny with 429 and detector-style accounting;
 //! * a request line that never ends is answered with 400, not buffered
-//!   without bound.
+//!   without bound, and a request that stops arriving midway does not
+//!   hold up shutdown.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::{Barrier, Mutex, MutexGuard};
+use std::sync::{mpsc, Barrier, Mutex, MutexGuard};
+use std::time::Duration;
 
 use vdbench_core::cache::{clear, reset_stats};
 use vdbench_core::set_disk_cache;
@@ -156,13 +158,35 @@ fn endless_request_line_is_rejected_with_400() {
     // would wait for the line to end and the read below would time out.
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
     stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .set_read_timeout(Some(Duration::from_secs(5)))
         .expect("read timeout");
     stream.write_all(&[b'A'; 64 * 1024]).expect("send");
     let (status, body) = read_response(stream);
     assert_eq!(status, 400);
     assert!(body.contains("line too long"), "{body}");
     server.shutdown();
+    drop(store);
+}
+
+#[test]
+fn slow_drip_request_does_not_block_shutdown() {
+    let _guard = lock();
+    let store = ScratchStore::open("slow-drip");
+    let server = start(server_config()).expect("bind");
+    // Part of a request line and then nothing, the socket left open: a
+    // reader that retries read-timeouts until the request completes
+    // would keep its connection thread, and so `shutdown`, waiting.
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.write_all(b"GET /v1/healthz").expect("send");
+    std::thread::sleep(Duration::from_millis(200));
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done_tx.send(());
+    });
+    let finished = done_rx.recv_timeout(Duration::from_secs(5));
+    drop(stream);
+    assert!(finished.is_ok(), "shutdown blocked on a slow-drip client");
     drop(store);
 }
 

@@ -173,7 +173,7 @@ const COMMANDS: &[CommandSpec] = &[
             flag!(
                 "scan-threads",
                 "N",
-                "shard-worker threads for --shard-units (default: rayon pool size)"
+                "scan threads for --shard-units (sets the pool width; 1 = serial)"
             ),
         ],
         run: cmd_scan,
@@ -224,7 +224,7 @@ const COMMANDS: &[CommandSpec] = &[
             flag!(
                 "scan-threads",
                 "N",
-                "shard-worker threads (default: rayon pool size; 1 = serial oracle)"
+                "scan threads (sets the pool width; 1 = serial)"
             ),
         ],
         run: cmd_scale,
@@ -577,16 +577,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     Ok(flags)
 }
 
-fn flag_usize(flags: &Flags, name: &str, default: usize) -> Result<usize, String> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name} expects an integer, got `{v}`")),
-    }
-}
-
-fn flag_u64(flags: &Flags, name: &str, default: u64) -> Result<u64, String> {
+fn flag_int<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result<T, String> {
     match flags.get(name) {
         None => Ok(default),
         Some(v) => v
@@ -627,9 +618,9 @@ fn load_or_build_corpus(flags: &Flags) -> Result<vdbench::corpus::Corpus, String
 
 /// Configures a [`CorpusBuilder`] from the numeric generator flags.
 fn corpus_builder(flags: &Flags) -> Result<CorpusBuilder, String> {
-    let units = flag_usize(flags, "units", 200)?;
+    let units = flag_int(flags, "units", 200)?;
     let density = flag_f64(flags, "density", 0.3)?;
-    let seed = flag_u64(flags, "seed", 2015)?;
+    let seed = flag_int(flags, "seed", 2015)?;
     let stored_rate = flag_f64(flags, "stored-rate", 0.12)?;
     if !(0.0..=1.0).contains(&density) {
         return Err("--density must be in [0, 1]".into());
@@ -893,7 +884,7 @@ fn append_campaign_history(dir: &std::path::Path, record: &vdbench_bench::timing
 
 fn cmd_generate(flags: &Flags) -> Result<(), String> {
     let corpus = build_corpus(flags)?;
-    let show = flag_usize(flags, "show", 0)?;
+    let show = flag_int(flags, "show", 0)?;
     if let Some(path) = flags.get("out") {
         let json =
             serde_json::to_string(&corpus).map_err(|e| format!("cannot serialize corpus: {e}"))?;
@@ -961,10 +952,15 @@ fn print_scan_report(
 }
 
 /// Parses `--scan-threads`, defaulting to the ambient rayon pool width.
+/// A given count also sets `RAYON_NUM_THREADS`, so the shared pool the
+/// scan runs on is that wide; call it before the first parallel call.
 fn scan_threads(flags: &Flags) -> Result<usize, String> {
-    let threads = flag_usize(flags, "scan-threads", vdbench::core::default_scan_threads())?;
+    let threads = flag_int(flags, "scan-threads", vdbench::core::default_scan_threads())?;
     if threads == 0 {
         return Err("--scan-threads must be positive".into());
+    }
+    if flags.contains_key("scan-threads") {
+        std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
     }
     Ok(threads)
 }
@@ -975,7 +971,7 @@ fn cmd_scan(flags: &Flags) -> Result<(), String> {
         .ok_or("scan needs --tool (see `vdbench help`)")?;
     let tool = vdbench::server::tool_by_name(tool_name)
         .ok_or_else(|| format!("unknown tool `{tool_name}` (see `vdbench help`)"))?;
-    if let Some(value) = flags.get("shard-units") {
+    if flags.contains_key("shard-units") {
         // Streamed path: generate and scan in fixed-memory shards.
         if flags.contains_key("corpus") {
             return Err(
@@ -983,9 +979,7 @@ fn cmd_scan(flags: &Flags) -> Result<(), String> {
                     .into(),
             );
         }
-        let shard_units: usize = value
-            .parse()
-            .map_err(|_| format!("--shard-units expects an integer, got `{value}`"))?;
+        let shard_units: usize = flag_int(flags, "shard-units", 0)?;
         if shard_units == 0 {
             return Err("--shard-units must be positive".into());
         }
@@ -1052,19 +1046,19 @@ fn cmd_scale(flags: &Flags) -> Result<(), String> {
                 .into(),
         );
     }
-    let shard_units = flag_usize(flags, "shard-units", vdbench::core::DEFAULT_SHARD_UNITS)?;
+    let shard_units = flag_int(flags, "shard-units", vdbench::core::DEFAULT_SHARD_UNITS)?;
     if shard_units == 0 {
         return Err("--shard-units must be positive".into());
     }
     let tool_name = flags.get("tool").map(String::as_str).unwrap_or("pattern");
     let tool = vdbench::server::tool_by_name(tool_name)
         .ok_or_else(|| format!("unknown tool `{tool_name}` (see `vdbench help`)"))?;
-    let seed = flag_u64(flags, "seed", 2015)?;
+    let seed = flag_int(flags, "seed", 2015)?;
     let density = flag_f64(flags, "density", 0.3)?;
     if !(0.0..=1.0).contains(&density) {
         return Err("--density must be in [0, 1]".into());
     }
-    let delta = flag_usize(flags, "delta", 0)?;
+    let delta = flag_int(flags, "delta", 0)?;
     let threads = scan_threads(flags)?;
     let cache_dir = flags
         .get("cache-dir")
@@ -1075,13 +1069,10 @@ fn cmd_scale(flags: &Flags) -> Result<(), String> {
         .get("out")
         .cloned()
         .unwrap_or_else(|| "BENCH_scale.json".to_string());
-    let assert_flat = match flags.get("assert-flat") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<f64>()
-                .map_err(|_| format!("--assert-flat expects a number, got `{v}`"))?,
-        ),
-    };
+    let assert_flat = flags
+        .contains_key("assert-flat")
+        .then(|| flag_f64(flags, "assert-flat", 0.0))
+        .transpose()?;
     let builder_for = |units: usize| {
         CorpusBuilder::new()
             .units(units)
@@ -1296,8 +1287,8 @@ fn cmd_perfwatch(flags: &Flags) -> Result<(), String> {
             let config = vdbench_perfwatch::Config {
                 alpha: flag_f64(flags, "alpha", 0.05)?,
                 min_effect: flag_f64(flags, "min-effect", 0.05)?,
-                replicates: flag_usize(flags, "replicates", 2000)?,
-                rounds: flag_usize(flags, "rounds", 2000)?,
+                replicates: flag_int(flags, "replicates", 2000)?,
+                rounds: flag_int(flags, "rounds", 2000)?,
                 level: flag_f64(flags, "level", 0.95)?,
                 source: flags.get("source").cloned(),
             };
@@ -1366,7 +1357,7 @@ fn cmd_cache(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_bench(flags: &Flags) -> Result<(), String> {
-    let seed = flag_u64(flags, "seed", 2015)?;
+    let seed = flag_int(flags, "seed", 2015)?;
     let wanted = flags.get("scenario").map(String::as_str);
     for scenario in standard_scenarios() {
         if let Some(w) = wanted {
@@ -1387,8 +1378,8 @@ fn cmd_bench(flags: &Flags) -> Result<(), String> {
 
 fn cmd_select(flags: &Flags) -> Result<(), String> {
     let noise = flag_f64(flags, "noise", 0.25)?;
-    let experts = flag_usize(flags, "experts", 7)?;
-    let seed = flag_u64(flags, "seed", 2015)?;
+    let experts = flag_int(flags, "experts", 7)?;
+    let seed = flag_int(flags, "seed", 2015)?;
     let selector = MetricSelector::new(default_candidates(), AssessmentConfig::default())
         .map_err(|e| e.to_string())?;
     for scenario in standard_scenarios() {
@@ -1442,15 +1433,15 @@ fn cmd_recommend(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_report(flags: &Flags) -> Result<(), String> {
-    let seed = flag_u64(flags, "seed", 2015)?;
+    let seed = flag_int(flags, "seed", 2015)?;
     let report = vdbench::core::campaign::markdown_report(seed).map_err(|e| e.to_string())?;
     println!("{report}");
     Ok(())
 }
 
 fn cmd_consistency(flags: &Flags) -> Result<(), String> {
-    let units = flag_usize(flags, "units", 400)?;
-    let seed = flag_u64(flags, "seed", 2015)?;
+    let units = flag_int(flags, "units", 400)?;
+    let seed = flag_int(flags, "seed", 2015)?;
     let cfg = ConsistencyConfig {
         units,
         seed,
@@ -1484,7 +1475,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         .get("cache-dir")
         .cloned()
         .unwrap_or_else(|| "target/vdbench-cache".to_string());
-    let max_inflight = flag_usize(flags, "max-inflight", 64)?;
+    let max_inflight = flag_int(flags, "max-inflight", 64)?;
     let client_budget = match flags.get("client-budget") {
         None => None,
         Some(v) => Some(
@@ -1521,9 +1512,9 @@ fn cmd_loadgen(flags: &Flags) -> Result<(), String> {
             .cloned()
             .unwrap_or_else(|| "127.0.0.1:7071".to_string()),
         duration_secs: flag_f64(flags, "duration-secs", 3.0)?,
-        connections: flag_usize(flags, "connections", 8)?,
-        seed: flag_u64(flags, "seed", 2015)?,
-        pool_scans: flag_usize(flags, "pool-scans", 64)?,
+        connections: flag_int(flags, "connections", 8)?,
+        seed: flag_int(flags, "seed", 2015)?,
+        pool_scans: flag_int(flags, "pool-scans", 64)?,
         artifacts,
         out: Some(
             flags
